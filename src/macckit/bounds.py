@@ -5,7 +5,8 @@ many affine functions of the cache memory M, so each is convex and
 non-increasing in M.  All arithmetic is exact rational (fractions.Fraction);
 no floats enter this module.
 
-Family identifiers used throughout (curve files, witnesses, CLI):
+Family identifiers used throughout (curve files, witnesses, CLI); each of
+the four families is defined by one entry of ``FAMILIES``:
 
 * ``cutset_thm1``   -- cut-set counting over s users reading min(s+L-1, K) caches
 * ``improved_thm2`` -- refinement with a second parameter l (number of
@@ -22,18 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .params import MaccParams
 
 Rational = Fraction
 MemoryLike = Union[int, str, Fraction]
-
-FAMILY_IDS = ("cutset_thm1", "improved_thm2", "hkd_lemma2", "hkd2_lemma3", "best")
-
-#: Order in which families are consulted by best_lower_bound (first strict
-#: maximum wins ties).
-_BEST_ORDER = ("cutset_thm1", "improved_thm2", "hkd_lemma2", "hkd2_lemma3")
 
 
 def as_memory(M: MemoryLike) -> Fraction:
@@ -72,75 +67,150 @@ class BoundCurve:
     points: tuple[BoundPoint, ...]
 
 
-class _Term:
-    """Affine term value(M) = intercept - slope * M with its witness."""
-
-    __slots__ = ("witness", "intercept", "slope")
-
-    def __init__(self, witness: dict, intercept: Fraction, slope: Fraction):
-        self.witness = witness
-        self.intercept = intercept
-        self.slope = slope
-
-    def value_at(self, M: Fraction) -> Fraction:
-        return self.intercept - self.slope * M
+Term = tuple[dict, Fraction, Fraction]  # (witness, intercept, slope)
 
 
-def _maximize(terms: Iterable[_Term], M: Fraction) -> BoundPoint:
-    """Maximum over affine terms; the first maximizer in iteration order wins,
-    which realizes the smallest-parameter tie-breaking rule."""
-    best: _Term | None = None
-    best_value: Fraction | None = None
-    for term in terms:
-        value = term.value_at(M)
-        if best_value is None or value > best_value:
-            best, best_value = term, value
-    if best is None or best_value is None:
-        raise ValueError("empty term set")
-    return BoundPoint(M=M, R=best_value, witness=dict(best.witness))
+def _maximize(terms: Iterable[Term], M: Fraction) -> BoundPoint | None:
+    """Maximum of intercept - slope * M over the terms, None if there are
+    none.  The first maximizer in iteration order wins, which realizes the
+    smallest-parameter tie-breaking rule."""
+    best: dict | None = None
+    best_value = Fraction(0)
+    for witness, intercept, slope in terms:
+        value = intercept - slope * M
+        if best is None or value > best_value:
+            best, best_value = witness, value
+    if best is None:
+        return None
+    return BoundPoint(M=M, R=best_value, witness=dict(best))
 
 
 # ---------------------------------------------------------------------------
-# term enumeration (tie-break order: ascending s, then l, then t, then b)
+# the family registry: each family is a witness space (in tie-break order:
+# ascending s, then l, then t, then b) and the (intercept, slope) of the term
+# at one witness.  coeffs is the only place a formula is written; it also
+# rejects witnesses outside the space.
 # ---------------------------------------------------------------------------
 
 
-def _cutset_terms(params: MaccParams) -> Iterator[_Term]:
+def _cutset_space(params: MaccParams) -> Iterator[dict]:
+    for s in range(1, min(params.K, params.N) + 1):
+        yield {"s": s}
+
+
+def _check_s(params: MaccParams, s: int) -> None:
+    if not 1 <= s <= min(params.K, params.N):
+        raise ValueError(f"s={s} outside [1, min(K, N)]")
+
+
+def _cutset_coeffs(params: MaccParams, s: int) -> tuple[Fraction, Fraction]:
+    _check_s(params, s)
+    return Fraction(s), Fraction(min(s + params.L - 1, params.K), params.N // s)
+
+
+def _lemma3_coeffs(params: MaccParams, s: int) -> tuple[Fraction, Fraction]:
+    _check_s(params, s)
+    return Fraction(s), Fraction(s + params.L - 1, params.N // s)
+
+
+def _improved_space(params: MaccParams) -> Iterator[dict]:
+    for s in range(1, params.K + 1):
+        for l in range(1, -(-params.N // s) + 1):
+            yield {"s": s, "l": l}
+
+
+def _improved_coeffs(params: MaccParams, s: int, l: int) -> tuple[Fraction, Fraction]:
     K, L, N = params.K, params.L, params.N
-    for s in range(1, min(K, N) + 1):
-        p = min(s + L - 1, K)
-        yield _Term({"s": s}, Fraction(s), Fraction(p, N // s))
+    if not 1 <= s <= K:
+        raise ValueError(f"s={s} outside [1, K]")
+    if not 1 <= l <= -(-N // s):
+        raise ValueError(f"l={l} outside [1, ceil(N/s)]")
+    p = min(s + L - 1, K)
+    intercept = Fraction(K * N - (K - p) * max(0, N - l * s) - K * max(0, N - l * K), K * l)
+    return intercept, Fraction(p, l)
 
 
-def _lemma3_terms(params: MaccParams) -> Iterator[_Term]:
-    K, L, N = params.K, params.L, params.N
-    for s in range(1, min(K, N) + 1):
-        yield _Term({"s": s}, Fraction(s), Fraction(s + L - 1, N // s))
-
-
-def _improved_terms(params: MaccParams) -> Iterator[_Term]:
-    K, L, N = params.K, params.L, params.N
-    for s in range(1, K + 1):
-        p = min(s + L - 1, K)
-        shortfall_weight = 1 - Fraction(p, K)
-        for l in range(1, -(-N // s) + 1):
-            intercept = Fraction(
-                N - shortfall_weight * max(0, N - l * s) - max(0, N - l * K), l
-            )
-            yield _Term({"s": s, "l": l}, intercept, Fraction(p, l))
-
-
-def _lemma2_terms(params: MaccParams, b_max: int) -> Iterator[_Term]:
-    K, L, N = params.K, params.L, params.N
-    half = K // 2
+def _lemma2_space(params: MaccParams, b_cap: int) -> Iterator[dict]:
+    half = params.K // 2
     for s in range(1, half + 1):
-        for t in range(1, K + 1):
-            if not L <= s * t <= half:
-                continue
-            lam = Fraction(1) if s * t == L else Fraction(1, 2)
-            for b in range(1, b_max + 1):
-                intercept = lam * min(Fraction(s * t - L + 1), Fraction(N, s * b))
-                yield _Term({"s": s, "t": t, "b": b}, intercept, Fraction(t, b))
+        for t in range(-(-params.L // s), half // s + 1):
+            for b in range(1, b_cap + 1):
+                yield {"s": s, "t": t, "b": b}
+
+
+def _lemma2_coeffs(params: MaccParams, s: int, t: int, b: int) -> tuple[Fraction, Fraction]:
+    K, L, N = params.K, params.L, params.N
+    if b < 1 or not 1 <= t <= K or s < 1 or not L <= s * t <= K // 2:
+        raise ValueError(f"(s={s}, t={t}, b={b}) outside the searched parameter set")
+    lam_den = 1 if s * t == L else 2
+    return Fraction(min((s * t - L + 1) * s * b, N), s * b * lam_den), Fraction(t, b)
+
+
+@dataclass(frozen=True)
+class Family:
+    """One bound family: the maximum over its witness space of the affine
+    terms intercept - slope * M.  An empty space means inapplicable."""
+
+    id: str
+    aliases: tuple[str, ...]
+    #: space(params, **caps(params)) yields witnesses in tie-break order
+    space: Callable[..., Iterator[dict]]
+    #: coeffs(params, **witness) -> (intercept, slope)
+    coeffs: Callable[..., tuple[Fraction, Fraction]]
+    #: default search caps, also written to JSON curve files
+    caps: Callable[[MaccParams], dict] = lambda params: {}
+    #: why the space is empty, for families where it can be
+    empty_note: Callable[[MaccParams], str] | None = None
+
+
+#: Registry order is the order best_lower_bound consults the families
+#: (first strict maximum wins ties).
+FAMILIES = {
+    family.id: family
+    for family in (
+        Family("cutset_thm1", ("cutset",), _cutset_space, _cutset_coeffs),
+        Family("improved_thm2", ("improved",), _improved_space, _improved_coeffs),
+        Family(
+            "hkd_lemma2",
+            ("hkd", "lemma2"),
+            _lemma2_space,
+            _lemma2_coeffs,
+            # for b > N no term can become positive; see hkd_lemma2_bound
+            caps=lambda params: {"b_cap": params.N},
+            empty_note=lambda params: (
+                f"hkd_lemma2 is inapplicable for L={params.L} > floor(K/2)={params.K // 2}"
+            ),
+        ),
+        Family("hkd2_lemma3", ("hkd2", "lemma3"), _cutset_space, _lemma3_coeffs),
+    )
+}
+
+BEST = "best"
+FAMILY_IDS = (*FAMILIES, BEST)
+
+
+def _family(bound_id: str) -> Family:
+    if bound_id not in FAMILIES:
+        raise ValueError(f"unknown bound id {bound_id!r}; expected one of {FAMILY_IDS}")
+    return FAMILIES[bound_id]
+
+
+def _terms(family: Family, params: MaccParams, caps: dict | None = None) -> Iterator[Term]:
+    """The family's terms, lazily, in tie-break order."""
+    for witness in family.space(params, **(family.caps(params) if caps is None else caps)):
+        yield (witness, *family.coeffs(params, **witness))
+
+
+def _term_value(family: Family, params: MaccParams, M: MemoryLike, **witness: int) -> Fraction:
+    m = as_memory(M)
+    intercept, slope = family.coeffs(params, **witness)
+    return intercept - slope * m
+
+
+def _bound(
+    family: Family, params: MaccParams, M: MemoryLike, caps: dict | None = None
+) -> BoundPoint | None:
+    return _maximize(_terms(family, params, caps), _check_memory(params, M))
 
 
 # ---------------------------------------------------------------------------
@@ -150,45 +220,24 @@ def _lemma2_terms(params: MaccParams, b_max: int) -> Iterator[_Term]:
 
 def cutset_term(params: MaccParams, s: int, M: MemoryLike) -> Fraction:
     """Value of the cut-set term for a given s: s - min(s+L-1, K) * M / floor(N/s)."""
-    m = as_memory(M)
-    if not 1 <= s <= min(params.K, params.N):
-        raise ValueError(f"s={s} outside [1, min(K, N)]")
-    p = min(s + params.L - 1, params.K)
-    return s - Fraction(p, params.N // s) * m
+    return _term_value(FAMILIES["cutset_thm1"], params, M, s=s)
 
 
 def improved_term(params: MaccParams, s: int, l: int, M: MemoryLike) -> Fraction:
     """Value of the refined term at (s, l):
     (1/l) * (N - (1 - p/K)(N - l*s)^+ - (N - l*K)^+ - p*M), p = min(s+L-1, K)."""
-    m = as_memory(M)
-    K, L, N = params.K, params.L, params.N
-    if not 1 <= s <= K:
-        raise ValueError(f"s={s} outside [1, K]")
-    if not 1 <= l <= -(-N // s):
-        raise ValueError(f"l={l} outside [1, ceil(N/s)]")
-    p = min(s + L - 1, K)
-    return Fraction(
-        N - (1 - Fraction(p, K)) * max(0, N - l * s) - max(0, N - l * K) - p * m, l
-    )
+    return _term_value(FAMILIES["improved_thm2"], params, M, s=s, l=l)
 
 
 def hkd_lemma2_term(params: MaccParams, s: int, t: int, b: int, M: MemoryLike) -> Fraction:
     """Value of the window-counting term at (s, t, b):
     lambda * min(s*t - L + 1, N/(s*b)) - (t/b) * M, lambda = 1 if s*t == L else 1/2."""
-    m = as_memory(M)
-    K, L, N = params.K, params.L, params.N
-    if b < 1 or not 1 <= t <= K or s < 1 or not L <= s * t <= K // 2:
-        raise ValueError(f"(s={s}, t={t}, b={b}) outside the searched parameter set")
-    lam = Fraction(1) if s * t == L else Fraction(1, 2)
-    return lam * min(Fraction(s * t - L + 1), Fraction(N, s * b)) - Fraction(t, b) * m
+    return _term_value(FAMILIES["hkd_lemma2"], params, M, s=s, t=t, b=b)
 
 
 def hkd2_lemma3_term(params: MaccParams, s: int, M: MemoryLike) -> Fraction:
     """Value of the uncapped cut-set term for a given s: s - (s+L-1) * M / floor(N/s)."""
-    m = as_memory(M)
-    if not 1 <= s <= min(params.K, params.N):
-        raise ValueError(f"s={s} outside [1, min(K, N)]")
-    return s - Fraction(s + params.L - 1, params.N // s) * m
+    return _term_value(FAMILIES["hkd2_lemma3"], params, M, s=s)
 
 
 # ---------------------------------------------------------------------------
@@ -202,15 +251,13 @@ def cutset_bound(params: MaccParams, M: MemoryLike) -> BoundPoint:
     The raw maximum is returned; it may be negative for large M (display
     layers clamp at zero).
     """
-    m = _check_memory(params, M)
-    return _maximize(_cutset_terms(params), m)
+    return _bound(FAMILIES["cutset_thm1"], params, M)
 
 
 def improved_bound(params: MaccParams, M: MemoryLike) -> BoundPoint:
     """Refined lower bound: max over s in [1, K], l in [1, ceil(N/s)] of
     improved_term.  Dominates cutset_bound on [0, N/L]."""
-    m = _check_memory(params, M)
-    return _maximize(_improved_terms(params), m)
+    return _bound(FAMILIES["improved_thm2"], params, M)
 
 
 def hkd_lemma2_bound(
@@ -219,25 +266,21 @@ def hkd_lemma2_bound(
     """Prior window-counting bound, maximized over its (s, t, b) set.
 
     Returns None when the parameter set is empty, i.e. L > floor(K/2).
-    b ranges over [1, b_max]; the default cap b_max = N is safe because for
-    b > N both objective terms shrink at rate 1/b and every searched point is
-    dominated by a smaller b.  Pass a larger b_max to widen the search.
+    b ranges over [1, b_max], by default [1, N].  A non-negative maximum is
+    reached with b <= N, so the value clamped at zero does not depend on the
+    cap.  A negative maximum does: larger b moves it toward zero (on
+    (20, 5, 20) at M = 10 it is -3/10 with b_max = 20 and -3/100 with
+    b_max = 200).
     """
-    m = _check_memory(params, M)
-    if params.L > params.K // 2:
-        return None
-    if b_max is None:
-        b_max = params.N
-    if b_max < 1:
+    if b_max is not None and b_max < 1:
         raise ValueError(f"b_max must be >= 1, got {b_max}")
-    return _maximize(_lemma2_terms(params, b_max), m)
+    return _bound(FAMILIES["hkd_lemma2"], params, M, None if b_max is None else {"b_cap": b_max})
 
 
 def hkd2_lemma3_bound(params: MaccParams, M: MemoryLike) -> BoundPoint:
     """Prior cut-set bound: like cutset_bound but the cache coefficient is
     s+L-1 without the min(.., K) cap, so it is never tighter."""
-    m = _check_memory(params, M)
-    return _maximize(_lemma3_terms(params), m)
+    return _bound(FAMILIES["hkd2_lemma3"], params, M)
 
 
 def best_lower_bound(params: MaccParams, M: MemoryLike) -> BoundPoint:
@@ -250,11 +293,9 @@ def best_lower_bound(params: MaccParams, M: MemoryLike) -> BoundPoint:
     m = _check_memory(params, M)
     best: BoundPoint | None = None
     best_family = ""
-    for family in _BEST_ORDER:
+    for family in FAMILIES:
         point = evaluate_bound(params, family, m)
-        if point is None:
-            continue
-        if best is None or point.R > best.R:
+        if point is not None and (best is None or point.R > best.R):
             best, best_family = point, family
     assert best is not None  # cutset always applicable
     witness = {"family": best_family, **best.witness}
@@ -267,35 +308,19 @@ def best_lower_bound(params: MaccParams, M: MemoryLike) -> BoundPoint:
 
 def evaluate_bound(params: MaccParams, bound_id: str, M: MemoryLike) -> BoundPoint | None:
     """Evaluate one family by id; None means inapplicable at these params."""
-    if bound_id == "cutset_thm1":
-        return cutset_bound(params, M)
-    if bound_id == "improved_thm2":
-        return improved_bound(params, M)
-    if bound_id == "hkd_lemma2":
-        return hkd_lemma2_bound(params, M)
-    if bound_id == "hkd2_lemma3":
-        return hkd2_lemma3_bound(params, M)
-    if bound_id == "best":
+    if bound_id == BEST:
         return best_lower_bound(params, M)
-    raise ValueError(f"unknown bound id {bound_id!r}; expected one of {FAMILY_IDS}")
+    return _bound(_family(bound_id), params, M)
 
 
 def evaluate_witness(params: MaccParams, bound_id: str, witness: dict, M: MemoryLike) -> Fraction:
     """Re-evaluate the single term named by a witness (must reproduce R)."""
-    if bound_id == "best":
+    if bound_id == BEST:
         family = witness["family"]
         inner = {k: v for k, v in witness.items() if k not in ("family", "clamped")}
         value = evaluate_witness(params, family, inner, M)
         return max(Fraction(0), value) if witness.get("clamped") else value
-    if bound_id == "cutset_thm1":
-        return cutset_term(params, witness["s"], M)
-    if bound_id == "improved_thm2":
-        return improved_term(params, witness["s"], witness["l"], M)
-    if bound_id == "hkd_lemma2":
-        return hkd_lemma2_term(params, witness["s"], witness["t"], witness["b"], M)
-    if bound_id == "hkd2_lemma3":
-        return hkd2_lemma3_term(params, witness["s"], M)
-    raise ValueError(f"unknown bound id {bound_id!r}")
+    return _term_value(_family(bound_id), params, M, **witness)
 
 
 # ---------------------------------------------------------------------------
@@ -327,29 +352,19 @@ def sweep_curve(
     Points keep the raw (unclamped) R values; export layers clamp at zero.
     An inapplicable family yields a curve with no points.
     """
-    if bound_id not in FAMILY_IDS:
-        raise ValueError(f"unknown bound id {bound_id!r}; expected one of {FAMILY_IDS}")
+    family = None if bound_id == BEST else _family(bound_id)
     grid = [_check_memory(params, m) for m in m_grid]
     if not grid:
         raise ValueError("empty memory grid")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("memory grid must be strictly increasing")
 
-    # The term set is independent of M: enumerate once, reuse per grid point.
-    if bound_id == "best":
+    if family is None:
         points = tuple(best_lower_bound(params, m) for m in grid)
-        return BoundCurve(params=params, bound_id=bound_id, points=points)
-    if bound_id == "cutset_thm1":
-        terms: list[_Term] = list(_cutset_terms(params))
-    elif bound_id == "improved_thm2":
-        terms = list(_improved_terms(params))
-    elif bound_id == "hkd2_lemma3":
-        terms = list(_lemma3_terms(params))
-    else:  # hkd_lemma2
-        if params.L > params.K // 2:
-            return BoundCurve(params=params, bound_id=bound_id, points=())
-        terms = list(_lemma2_terms(params, params.N))
-    points = tuple(_maximize(terms, m) for m in grid)
+    else:
+        # The term set is independent of M: enumerate once, reuse per grid point.
+        terms = list(_terms(family, params))
+        points = tuple(_maximize(terms, m) for m in grid) if terms else ()
     return BoundCurve(params=params, bound_id=bound_id, points=points)
 
 
@@ -421,9 +436,10 @@ def verify_dominance(params: MaccParams, m_grid: Sequence[MemoryLike]) -> Domina
     if not grid:
         raise ValueError("empty memory grid")
     full_access = Fraction(params.N, params.L)
-    cutset_terms = list(_cutset_terms(params))
-    improved_terms = list(_improved_terms(params))
-    lemma3_terms = list(_lemma3_terms(params))
+    cutset_terms, improved_terms, lemma3_terms = (
+        list(_terms(FAMILIES[family], params))
+        for family in ("cutset_thm1", "improved_thm2", "hkd2_lemma3")
+    )
 
     entries = []
     violations = []

@@ -24,16 +24,6 @@ EXIT_IO = 3
 
 OUTPUT_DIR_ENV = "MACCKIT_OUT_DIR"
 
-FAMILY_ALIASES = {
-    "cutset": "cutset_thm1",
-    "improved": "improved_thm2",
-    "hkd": "hkd_lemma2",
-    "hkd2": "hkd2_lemma3",
-    "lemma2": "hkd_lemma2",
-    "lemma3": "hkd2_lemma3",
-    "best": "best",
-}
-
 
 class UsageError(ValueError):
     """Bad flag values or inadmissible configuration (exit 2)."""
@@ -56,10 +46,11 @@ def parse_grid(spec: str) -> list[Fraction]:
 
 
 def parse_families(spec: str) -> list[str]:
+    aliases = {alias: f.id for f in bounds.FAMILIES.values() for alias in f.aliases}
     families = []
     for name in spec.split(","):
         name = name.strip()
-        family = FAMILY_ALIASES.get(name, name)
+        family = aliases.get(name, name)
         if family not in bounds.FAMILY_IDS:
             raise UsageError(
                 f"unknown bound family {name!r}; known: {', '.join(bounds.FAMILY_IDS)}"
@@ -113,11 +104,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
     curves = [bounds.sweep_curve(params, family, grid) for family in families]
     for curve in curves:
-        if curve.bound_id == "hkd_lemma2" and not curve.points:
-            print(
-                f"note: hkd_lemma2 is inapplicable for L={params.L} > floor(K/2)={params.K // 2}",
-                file=sys.stderr,
-            )
+        if not curve.points:
+            print(f"note: {bounds.FAMILIES[curve.bound_id].empty_note(params)}", file=sys.stderr)
 
     path = _output_path(args, f"bounds_K{params.K}_L{params.L}_N{params.N}.{args.format}")
     if args.format == "csv":
@@ -148,24 +136,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_CHECK_FAILED
 
 
-_SCHEME_PARAMS_323 = MaccParams(K=3, L=2, N=3)
-
-
-def _build_scheme(args: argparse.Namespace) -> tuple[schemes.Scheme, MaccParams]:
-    if args.scheme == "zero-memory":
-        params = _params_from(args)
-        return schemes.scheme_zero_memory(params), params
-    if _params_from(args) != _SCHEME_PARAMS_323:
-        raise UsageError(f"scheme {args.scheme!r} is fixed to K=3, L=2, N=3")
-    if args.scheme == "appendix-b":
-        return schemes.scheme_appendix_b(), _SCHEME_PARAMS_323
-    if args.scheme == "corner-323":
-        return schemes.scheme_full_access_corner_323(), _SCHEME_PARAMS_323
-    raise UsageError(f"unknown scheme {args.scheme!r}")
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
-    scheme, params = _build_scheme(args)
+    params = _params_from(args)
+    scheme = schemes.SCHEMES[args.scheme]()
     library = schemes.FileLibrary.random(params, args.F, args.seed)
     try:
         scheme.check_library(library)
@@ -261,11 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("simulate", help="exhaustively verify a scheme on a random library")
-    p.add_argument(
-        "--scheme",
-        required=True,
-        choices=("appendix-b", "corner-323", "zero-memory"),
-    )
+    p.add_argument("--scheme", required=True, choices=tuple(schemes.SCHEMES))
     p.add_argument("--F", type=int, default=12, help="bits per file")
     p.add_argument("--seed", type=int, default=0, help="library fill seed")
     _add_params(p, (3, 2, 3))

@@ -136,12 +136,17 @@ class WindowCheckReport:
         }
 
 
+def _check_tol(tol: float) -> None:
+    # a NaN tolerance would compare False against every margin and pass all checks
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+
+
 def check_sliding_window(
     pmf: JointPmf, tol: float = DEFAULT_TOL, seed: int | None = None
 ) -> WindowCheckReport:
     """Verify the window averages are non-increasing in window length."""
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    _check_tol(tol)
     sequence = [window_entropy_sum(pmf, s) for s in range(1, pmf.K + 1)]
     margins = []
     failures = []
@@ -185,8 +190,7 @@ def check_conditional_window(
     """Verify the conditional form on a pmf whose last variable conditions
     the rest: every scaled conditional window average dominates the full-set
     conditional entropy."""
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    _check_tol(tol)
     if pmf.K < 2:
         raise ValueError("need at least one conditioned variable plus the conditioner")
     sequence = _conditional_window_sequence(pmf)

@@ -377,14 +377,21 @@ def scheme_appendix_b() -> Scheme:
 
 
 def scheme_zero_memory(params: MaccParams) -> Scheme:
-    """The trivial scheme achieving (0, min(K, N)) on any network."""
-    del params  # admissible everywhere; kept for interface symmetry
+    """The trivial scheme achieving (0, min(K, N)) on any network; params
+    is accepted for interface symmetry and not needed."""
     return ZeroMemoryScheme()
 
 
 def scheme_full_access_corner_323() -> Scheme:
     """The coded-placement (3, 2, 3) scheme achieving (M, R) = (3/2, 0)."""
     return FullAccessCornerScheme323()
+
+
+#: Every scheme by id (the order of the CLI's --scheme choices).
+SCHEMES: dict[str, type[Scheme]] = {
+    scheme.id: scheme
+    for scheme in (CodedPlacementScheme323, FullAccessCornerScheme323, ZeroMemoryScheme)
+}
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import json
 from fractions import Fraction
 from typing import IO, Sequence
 
-from .bounds import BoundCurve
+from .bounds import FAMILIES, BoundCurve
 
 CURVE_CSV_HEADER = ("M", "R", "family", "witness", "M_decimal", "R_decimal")
 POINTS_CSV_HEADER = ("M", "R", "scheme_id")
@@ -75,9 +75,9 @@ def curves_json_payload(curves: Sequence[BoundCurve]) -> dict:
             "family": curve.bound_id,
             "points": curve_rows(curve),
         }
-        if curve.bound_id == "hkd_lemma2":
-            # search cap on the scaling parameter; raise via the API if needed
-            entry["b_cap"] = curve.params.N
+        if curve.bound_id in FAMILIES:
+            # default search caps; raise them via the API if needed
+            entry.update(FAMILIES[curve.bound_id].caps(curve.params))
         payload["curves"].append(entry)
     return payload
 

@@ -77,15 +77,15 @@ def test_criterion_3_corner_scheme_rate_zero():
 def family_values_on_grid():
     """Exact cutset/improved/lemma3 values on a 51-point grid over [0, N/L]
     for every parameter triple; shared by criteria 4 and 5."""
-    from macckit.bounds import _cutset_terms, _improved_terms, _lemma3_terms, _maximize
+    from macckit.bounds import FAMILIES, _maximize, _terms
 
     results = {}
     for K, L, N in PARAM_TRIPLES:
         params = MaccParams(K, L, N)
         grid = uniform_grid(0, F(N, L), 51)
-        cutset_terms = list(_cutset_terms(params))
-        improved_terms = list(_improved_terms(params))
-        lemma3_terms = list(_lemma3_terms(params))
+        cutset_terms = list(_terms(FAMILIES["cutset_thm1"], params))
+        improved_terms = list(_terms(FAMILIES["improved_thm2"], params))
+        lemma3_terms = list(_terms(FAMILIES["hkd2_lemma3"], params))
         rows = [
             (
                 m,

@@ -1,6 +1,7 @@
 """CLI contract tests: flags, file outputs, exit-code discipline, determinism."""
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -185,6 +186,10 @@ class TestEntropyCommand:
     def test_zero_trials_exit_2(self):
         assert run_cli("entropy-test", "--trials", "0") == EXIT_USAGE
 
+    def test_non_finite_tolerance_exit_2(self):
+        for tol in ("nan", "inf"):
+            assert run_cli("entropy-test", "--trials", "1", "--tol", tol) == EXIT_USAGE
+
     def test_deterministic_reports(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         argv = ["entropy-test", "--K", "3", "--alphabet", "2", "--trials", "20", "--seed", "9"]
@@ -212,3 +217,35 @@ class TestParsers:
 
     def test_help_exits_zero(self):
         assert run_cli("--help") == EXIT_OK
+
+
+#: sha256 of output files at fixed flags.  The bound, dominance and scheme
+#: code may be restructured freely, but these bytes (values, witnesses and
+#: their first-in-order tie-breaks, b_cap, key order) must not change.
+GOLDEN_OUTPUTS = [
+    (("bounds", "--K", "20", "--L", "5", "--N", "20"),
+     "747b37e3609355f7456dae536213d02b70df51a93ddc0cecda46eb7f65805dc4"),
+    (("bounds", "--K", "10", "--L", "7", "--N", "10"),
+     "121633b3e976291517a547a95b1c18c1d647249050c24960419a97a5fc25d1d0"),
+    (("bounds", "--K", "10", "--L", "6", "--N", "10"),
+     "c7d2f16f6f30b877cb0c40a776056549cf90ae52c0dc65cd42dcaa347c05f4d7"),
+    (("bounds", "--K", "11", "--L", "3", "--N", "11"),
+     "b257c995a23201114d5ffba9f86db2d5f06b4545bb91401942a539256b3dcca0"),
+    (("bounds", "--K", "10", "--L", "3", "--N", "10"),
+     "7d505c07f0dbb310d88694b2a2d6d441d8788b2aeeaef9b8990b26e8327152d1"),
+    (("bounds", "--K", "10", "--L", "3", "--N", "10", "--format", "json"),
+     "82135e0dd5c99f49a8d55d378d8e8ec6d7c9c2ab525f0e69a857123be2bfd193"),
+    (("compare", "--K", "10", "--L", "7", "--N", "10"),
+     "f911e8c4f199f923ff8980d9048e5d0f7fd7863354331be1518ce7a3b1677a4b"),
+    (("simulate", "--scheme", "appendix-b", "--seed", "7"),
+     "e1ec4cf4db75816348c1db62b65c772e6ec34c7fe98e3544cbbff5a364142013"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest", GOLDEN_OUTPUTS, ids=["-".join(argv) for argv, _ in GOLDEN_OUTPUTS]
+)
+def test_golden_output_bytes(tmp_path, argv, digest):
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", str(out)) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -148,8 +148,11 @@ class TestSlidingWindowCheck:
         assert payload["K"] == 2 and payload["seed"] == 9
 
     def test_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            check_sliding_window(JointPmf.independent_uniform((2, 2)), tol=0.0)
+        for tol in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                check_sliding_window(JointPmf.independent_uniform((2, 2)), tol=tol)
+            with pytest.raises(ValueError):
+                check_conditional_window(JointPmf.independent_uniform((2, 2)), tol=tol)
 
 
 class TestConditionalWindowCheck:
