@@ -207,10 +207,36 @@ def _term_value(family: Family, params: MaccParams, M: MemoryLike, **witness: in
     return intercept - slope * m
 
 
+def _curve(
+    family: Family, params: MaccParams, grid: Sequence[Fraction], caps: dict | None = None
+) -> tuple[BoundPoint, ...]:
+    """The family maximized at each grid point, () when it is inapplicable.
+    This is the only place terms are enumerated: the term set is independent
+    of M, so it is built once and reused at every point."""
+    terms = list(_terms(family, params, caps))
+    return tuple(_maximize(terms, m) for m in grid) if terms else ()
+
+
+def _best(params: MaccParams, grid: Sequence[Fraction]) -> tuple[BoundPoint, ...]:
+    """Pointwise maximum of the applicable families' curves, clamped below at
+    zero.  Families are consulted in registry order and the first strict
+    maximum wins, because max returns the first of equal keys."""
+    curves = {name: c for name, f in FAMILIES.items() if (c := _curve(f, params, grid))}
+    points = []
+    for i, m in enumerate(grid):
+        family, point = max(((name, c[i]) for name, c in curves.items()), key=lambda p: p[1].R)
+        witness = {"family": family, **point.witness}
+        if point.R < 0:
+            witness["clamped"] = True
+        points.append(BoundPoint(M=m, R=max(point.R, Fraction(0)), witness=witness))
+    return tuple(points)
+
+
 def _bound(
     family: Family, params: MaccParams, M: MemoryLike, caps: dict | None = None
 ) -> BoundPoint | None:
-    return _maximize(_terms(family, params, caps), _check_memory(params, M))
+    points = _curve(family, params, [_check_memory(params, M)], caps)
+    return points[0] if points else None
 
 
 # ---------------------------------------------------------------------------
@@ -290,20 +316,7 @@ def best_lower_bound(params: MaccParams, M: MemoryLike) -> BoundPoint:
     clamp raises a negative maximum to zero the witness gains
     ``clamped: True``.
     """
-    m = _check_memory(params, M)
-    best: BoundPoint | None = None
-    best_family = ""
-    for family in FAMILIES:
-        point = evaluate_bound(params, family, m)
-        if point is not None and (best is None or point.R > best.R):
-            best, best_family = point, family
-    assert best is not None  # cutset always applicable
-    witness = {"family": best_family, **best.witness}
-    value = best.R
-    if value < 0:
-        value = Fraction(0)
-        witness["clamped"] = True
-    return BoundPoint(M=m, R=value, witness=witness)
+    return _best(params, [_check_memory(params, M)])[0]
 
 
 def evaluate_bound(params: MaccParams, bound_id: str, M: MemoryLike) -> BoundPoint | None:
@@ -349,8 +362,8 @@ def sweep_curve(
 ) -> BoundCurve:
     """Evaluate one family on a strictly increasing memory grid.
 
-    Points keep the raw (unclamped) R values; export layers clamp at zero.
-    An inapplicable family yields a curve with no points.
+    Family points keep the raw R values (export layers clamp at zero); best
+    points are clamped.  An inapplicable family yields a curve with no points.
     """
     family = None if bound_id == BEST else _family(bound_id)
     grid = [_check_memory(params, m) for m in m_grid]
@@ -358,13 +371,7 @@ def sweep_curve(
         raise ValueError("empty memory grid")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("memory grid must be strictly increasing")
-
-    if family is None:
-        points = tuple(best_lower_bound(params, m) for m in grid)
-    else:
-        # The term set is independent of M: enumerate once, reuse per grid point.
-        terms = list(_terms(family, params))
-        points = tuple(_maximize(terms, m) for m in grid) if terms else ()
+    points = _best(params, grid) if family is None else _curve(family, params, grid)
     return BoundCurve(params=params, bound_id=bound_id, points=points)
 
 
@@ -436,46 +443,22 @@ def verify_dominance(params: MaccParams, m_grid: Sequence[MemoryLike]) -> Domina
     if not grid:
         raise ValueError("empty memory grid")
     full_access = Fraction(params.N, params.L)
-    cutset_terms, improved_terms, lemma3_terms = (
-        list(_terms(FAMILIES[family], params))
-        for family in ("cutset_thm1", "improved_thm2", "hkd2_lemma3")
+    names = ("improved_thm2", "cutset_thm1", "hkd2_lemma3")
+    curves = (_curve(FAMILIES[name], params, grid) for name in names)
+    entries = tuple(
+        DominanceEntry(m, improved.R, cutset.R, lemma3.R, m <= full_access)
+        for m, improved, cutset, lemma3 in zip(grid, *curves)
     )
-
-    entries = []
-    violations = []
-    for m in grid:
-        improved = _maximize(improved_terms, m).R
-        cutset = _maximize(cutset_terms, m).R
-        lemma3 = _maximize(lemma3_terms, m).R
-        checked = m <= full_access
-        entries.append(
-            DominanceEntry(
-                M=m,
-                improved=improved,
-                cutset=cutset,
-                lemma3=lemma3,
-                improved_vs_cutset_checked=checked,
-            )
+    violations = tuple(
+        {"check": check, "M": fraction_str(e.M), "lhs": fraction_str(lhs), "rhs": fraction_str(rhs)}
+        for e in entries
+        for check, applies, lhs, rhs in (
+            ("improved_vs_cutset", e.improved_vs_cutset_checked, e.improved, e.cutset),
+            ("cutset_vs_lemma3", True, e.cutset, e.lemma3),
         )
-        if checked and improved < cutset:
-            violations.append(
-                {
-                    "check": "improved_vs_cutset",
-                    "M": fraction_str(m),
-                    "lhs": fraction_str(improved),
-                    "rhs": fraction_str(cutset),
-                }
-            )
-        if cutset < lemma3:
-            violations.append(
-                {
-                    "check": "cutset_vs_lemma3",
-                    "M": fraction_str(m),
-                    "lhs": fraction_str(cutset),
-                    "rhs": fraction_str(lemma3),
-                }
-            )
-    return DominanceReport(params=params, entries=tuple(entries), violations=tuple(violations))
+        if applies and lhs < rhs
+    )
+    return DominanceReport(params=params, entries=entries, violations=violations)
 
 
 def uncoded_threshold_gap(params: MaccParams) -> tuple[Fraction, Fraction]:

@@ -69,6 +69,13 @@ def _params_from(args: argparse.Namespace) -> MaccParams:
         raise UsageError(str(exc)) from exc
 
 
+def _grid_from(args: argparse.Namespace, params: MaccParams) -> list[Fraction]:
+    grid = bounds.default_memory_grid(params) if args.grid is None else parse_grid(args.grid)
+    if grid[-1] > params.N:
+        raise UsageError(f"grid exceeds N={params.N}")
+    return grid
+
+
 def _output_path(args: argparse.Namespace, default_name: str) -> Path:
     if args.out is not None:
         return Path(args.out)
@@ -95,12 +102,7 @@ class IOFailure(OSError):
 def cmd_bounds(args: argparse.Namespace) -> int:
     params = _params_from(args)
     families = parse_families(args.families)
-    if args.grid is not None:
-        grid = parse_grid(args.grid)
-    else:
-        grid = bounds.default_memory_grid(params)
-    if grid[-1] > params.N:
-        raise UsageError(f"grid exceeds N={params.N}")
+    grid = _grid_from(args, params)
 
     curves = [bounds.sweep_curve(params, family, grid) for family in families]
     for curve in curves:
@@ -119,12 +121,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     params = _params_from(args)
-    if args.grid is not None:
-        grid = parse_grid(args.grid)
-    else:
-        grid = bounds.default_memory_grid(params)
-    if grid[-1] > params.N:
-        raise UsageError(f"grid exceeds N={params.N}")
+    grid = _grid_from(args, params)
 
     report = bounds.verify_dominance(params, grid)
     path = _output_path(args, f"dominance_K{params.K}_L{params.L}_N{params.N}.json")

@@ -142,28 +142,35 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
 
 
+def _window_report(
+    K: int, pmf: JointPmf, seed: int | None, sequence: list, against: list, tol: float
+) -> WindowCheckReport:
+    """Margins sequence[i] - against[i], failing where one is below -tol;
+    failure s is the 1-based window length of the margin."""
+    margins = tuple(a - b for a, b in zip(sequence, against))
+    return WindowCheckReport(
+        K=K,
+        alphabet_sizes=pmf.alphabet_sizes,
+        seed=seed,
+        sequence=tuple(sequence),
+        margins=margins,
+        tol=tol,
+        failures=tuple(
+            {"s": s, "margin": margin} for s, margin in enumerate(margins, 1) if margin < -tol
+        ),
+    )
+
+
 def check_sliding_window(
     pmf: JointPmf, tol: float = DEFAULT_TOL, seed: int | None = None
 ) -> WindowCheckReport:
     """Verify the window averages are non-increasing in window length."""
     _check_tol(tol)
+    if pmf.K < 2:
+        # one variable has no pair of window lengths to compare
+        raise ValueError("need at least two variables")
     sequence = [window_entropy_sum(pmf, s) for s in range(1, pmf.K + 1)]
-    margins = []
-    failures = []
-    for s in range(1, pmf.K):
-        margin = sequence[s - 1] - sequence[s]
-        margins.append(margin)
-        if margin < -tol:
-            failures.append({"s": s, "margin": margin})
-    return WindowCheckReport(
-        K=pmf.K,
-        alphabet_sizes=pmf.alphabet_sizes,
-        seed=seed,
-        sequence=tuple(sequence),
-        margins=tuple(margins),
-        tol=tol,
-        failures=tuple(failures),
-    )
+    return _window_report(pmf.K, pmf, seed, sequence, sequence[1:], tol)
 
 
 def _conditional_window_sequence(pmf: JointPmf) -> list[float]:
@@ -194,23 +201,8 @@ def check_conditional_window(
     if pmf.K < 2:
         raise ValueError("need at least one conditioned variable plus the conditioner")
     sequence = _conditional_window_sequence(pmf)
-    joint = sequence[-1]  # every full-length window is the whole set
-    margins = []
-    failures = []
-    for p in range(1, len(sequence) + 1):
-        margin = sequence[p - 1] - joint
-        margins.append(margin)
-        if margin < -tol:
-            failures.append({"s": p, "margin": margin})
-    return WindowCheckReport(
-        K=pmf.K - 1,
-        alphabet_sizes=pmf.alphabet_sizes,
-        seed=seed,
-        sequence=tuple(sequence),
-        margins=tuple(margins),
-        tol=tol,
-        failures=tuple(failures),
-    )
+    # every full-length window is the whole set
+    return _window_report(pmf.K - 1, pmf, seed, sequence, [sequence[-1]] * len(sequence), tol)
 
 
 @dataclass(frozen=True)
@@ -243,24 +235,23 @@ class BatchReport:
         }
 
 
-def run_sliding_window_batch(
-    K: int, alphabet: int, trials: int, seed: int, tol: float = DEFAULT_TOL
+def _batch(
+    kind: str, check, variables: int, alphabet: int, trials: int, seed: int, tol: float
 ) -> BatchReport:
-    """trials random pmfs over K variables, all checked against the unconditional
-    inequality; one RNG stream keyed by seed makes the batch reproducible."""
+    """trials random pmfs over `variables` variables, each run through check;
+    one RNG stream keyed by seed makes the batch reproducible."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     min_margin = math.inf
     failures = []
     for trial in range(trials):
-        report = check_sliding_window(JointPmf.random((alphabet,) * K, rng), tol=tol)
+        report = check(JointPmf.random((alphabet,) * variables, rng), tol=tol)
         min_margin = min(min_margin, report.min_margin)
-        for failure in report.failures:
-            failures.append({"trial": trial, **failure})
+        failures.extend({"trial": trial, **failure} for failure in report.failures)
     return BatchReport(
-        kind="sliding",
-        K=K,
+        kind=kind,
+        K=report.K,  # the same for every pmf of the batch
         alphabet=alphabet,
         seed=seed,
         trials=trials,
@@ -268,6 +259,14 @@ def run_sliding_window_batch(
         min_margin=min_margin,
         failures=tuple(failures),
     )
+
+
+def run_sliding_window_batch(
+    K: int, alphabet: int, trials: int, seed: int, tol: float = DEFAULT_TOL
+) -> BatchReport:
+    """trials random pmfs over K variables, all checked against the unconditional
+    inequality; one RNG stream keyed by seed makes the batch reproducible."""
+    return _batch("sliding", check_sliding_window, K, alphabet, trials, seed, tol)
 
 
 def run_conditional_window_batch(
@@ -275,23 +274,4 @@ def run_conditional_window_batch(
 ) -> BatchReport:
     """trials random pmfs over K variables plus one conditioner, checked
     against the conditional inequality."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    rng = np.random.default_rng(seed)
-    min_margin = math.inf
-    failures = []
-    for trial in range(trials):
-        report = check_conditional_window(JointPmf.random((alphabet,) * (K + 1), rng), tol=tol)
-        min_margin = min(min_margin, report.min_margin)
-        for failure in report.failures:
-            failures.append({"trial": trial, **failure})
-    return BatchReport(
-        kind="conditional",
-        K=K,
-        alphabet=alphabet,
-        seed=seed,
-        trials=trials,
-        tol=tol,
-        min_margin=min_margin,
-        failures=tuple(failures),
-    )
+    return _batch("conditional", check_conditional_window, K + 1, alphabet, trials, seed, tol)

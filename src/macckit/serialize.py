@@ -98,5 +98,6 @@ def write_achievable_points_csv(
 
 
 def write_json_report(stream: IO[str], payload: dict) -> None:
-    json.dump(payload, stream, indent=2)
+    # inf and nan are not JSON; refuse them rather than write an unreadable report
+    json.dump(payload, stream, indent=2, allow_nan=False)
     stream.write("\n")

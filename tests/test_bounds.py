@@ -1,6 +1,7 @@
 """Bound-family tests: frozen example values, independent brute-force
 oracles, and property tests for the shared structural invariants."""
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -20,6 +21,7 @@ from macckit import (
     uniform_grid,
     verify_dominance,
 )
+from macckit import bounds
 from macckit.bounds import (
     FAMILY_IDS,
     cutset_term,
@@ -281,6 +283,50 @@ class TestVerifyDominance:
         report = verify_dominance(P323, [F(0), F(3, 2), F(2)])
         checked = [e.improved_vs_cutset_checked for e in report.entries]
         assert checked == [True, True, False]
+
+    def test_violations_are_reported_per_point_in_check_order(self, monkeypatch):
+        # improved lowered by 1 and lemma3 raised by 1 break both relations
+        def shifted(family, delta):
+            coeffs = bounds.FAMILIES[family].coeffs
+
+            def shifted_coeffs(params, **witness):
+                intercept, slope = coeffs(params, **witness)
+                return intercept + delta, slope
+
+            return dataclasses.replace(bounds.FAMILIES[family], coeffs=shifted_coeffs)
+
+        monkeypatch.setitem(bounds.FAMILIES, "improved_thm2", shifted("improved_thm2", -1))
+        monkeypatch.setitem(bounds.FAMILIES, "hkd2_lemma3", shifted("hkd2_lemma3", 1))
+        # N/L = 3/2, so M = 2 is outside the improved >= cutset claim
+        report = verify_dominance(P323, [F(0), F(1), F(2)])
+        assert not report.ok
+        assert [list(v.items()) for v in report.violations] == [
+            [("check", "improved_vs_cutset"), ("M", "0"), ("lhs", "2"), ("rhs", "3")],
+            [("check", "cutset_vs_lemma3"), ("M", "0"), ("lhs", "3"), ("rhs", "4")],
+            [("check", "improved_vs_cutset"), ("M", "1"), ("lhs", "-2/3"), ("rhs", "1/3")],
+            [("check", "cutset_vs_lemma3"), ("M", "1"), ("lhs", "1/3"), ("rhs", "4/3")],
+            [("check", "cutset_vs_lemma3"), ("M", "2"), ("lhs", "-1/3"), ("rhs", "2/3")],
+        ]
+        assert report.to_dict()["violations"] == list(report.violations)
+
+
+def test_single_point_evaluation_matches_sweep():
+    # the single-point and whole-grid paths must agree on R and on the
+    # first-in-order witness, for every id including best and inapplicable ones
+    for K in range(1, 9):
+        for L in range(1, K + 1):
+            for N in range(1, 9):
+                params = MaccParams(K, L, N)
+                grid = default_memory_grid(params, 9)
+                for bound_id in FAMILY_IDS:
+                    curve = sweep_curve(params, bound_id, grid)
+                    points = [evaluate_bound(params, bound_id, m) for m in grid]
+                    if not curve.points:
+                        assert points == [None] * len(grid), (params, bound_id)
+                        continue
+                    assert [(p.M, p.R, p.witness) for p in points] == [
+                        (p.M, p.R, p.witness) for p in curve.points
+                    ], (params, bound_id)
 
 
 class TestUncodedThresholdGap:

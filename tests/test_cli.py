@@ -118,6 +118,28 @@ class TestCompareCommand:
         assert run_cli("compare", "--K", "3", "--L", "2", "--N", "3",
                        "--out", str(missing)) == EXIT_IO
 
+    def test_violation_exit_1(self, tmp_path, monkeypatch):
+        import dataclasses
+
+        import macckit.bounds as bounds
+
+        improved = bounds.FAMILIES["improved_thm2"]
+
+        def lowered(params, **witness):
+            intercept, slope = improved.coeffs(params, **witness)
+            return intercept - 1, slope
+
+        monkeypatch.setitem(
+            bounds.FAMILIES, "improved_thm2", dataclasses.replace(improved, coeffs=lowered)
+        )
+        out = tmp_path / "report.json"
+        assert run_cli("compare", "--K", "3", "--L", "2", "--N", "3",
+                       "--grid", "0:3:7", "--out", str(out)) == EXIT_CHECK_FAILED
+        violations = json.loads(out.read_text())["violations"]
+        assert violations and {v["check"] for v in violations} == {"improved_vs_cutset"}
+        # only grid points up to N/L = 3/2 are checked for improved >= cutset
+        assert [v["M"] for v in violations] == ["0", "1/2", "1", "3/2"]
+
 
 class TestSimulateCommand:
     def test_coded_scheme_passes(self, tmp_path, capsys):
@@ -219,9 +241,10 @@ class TestParsers:
         assert run_cli("--help") == EXIT_OK
 
 
-#: sha256 of output files at fixed flags.  The bound, dominance and scheme
-#: code may be restructured freely, but these bytes (values, witnesses and
-#: their first-in-order tie-breaks, b_cap, key order) must not change.
+#: sha256 of output files at fixed flags.  The bound, dominance, scheme and
+#: entropy code may be restructured freely, but these bytes (values,
+#: witnesses and their first-in-order tie-breaks, b_cap, key order) must not
+#: change.
 GOLDEN_OUTPUTS = [
     (("bounds", "--K", "20", "--L", "5", "--N", "20"),
      "747b37e3609355f7456dae536213d02b70df51a93ddc0cecda46eb7f65805dc4"),
@@ -239,6 +262,10 @@ GOLDEN_OUTPUTS = [
      "f911e8c4f199f923ff8980d9048e5d0f7fd7863354331be1518ce7a3b1677a4b"),
     (("simulate", "--scheme", "appendix-b", "--seed", "7"),
      "e1ec4cf4db75816348c1db62b65c772e6ec34c7fe98e3544cbbff5a364142013"),
+    (("entropy-test", "--K", "3", "--alphabet", "2", "--trials", "200", "--seed", "1"),
+     "f62f4e3b80ba69b0a2e13d72c06688f69fc69a5eb14655bcdd757051bb484f31"),
+    (("entropy-test", "--K", "4", "--alphabet", "3", "--trials", "50", "--seed", "2"),
+     "c11fdaec1ff0e365a9793d8abe7a5cfc5621e5275fd6224ab1810de9e783ffa2"),
 ]
 
 

@@ -147,6 +147,13 @@ class TestSlidingWindowCheck:
         assert set(payload) == {"K", "alphabets", "seed", "sequence", "min_margin", "failures"}
         assert payload["K"] == 2 and payload["seed"] == 9
 
+    def test_needs_two_variables(self):
+        # one variable has no adjacent window lengths: nothing would be checked
+        with pytest.raises(ValueError):
+            check_sliding_window(JointPmf.independent_uniform((2,)))
+        with pytest.raises(ValueError):
+            run_sliding_window_batch(1, 2, 2, seed=0)
+
     def test_bad_tolerance(self):
         for tol in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError):

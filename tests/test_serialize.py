@@ -1,8 +1,10 @@
 import csv
 import io
 import json
+import math
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +20,7 @@ from macckit.serialize import (
     write_achievable_points_csv,
     write_curves_csv,
     write_curves_json,
+    write_json_report,
 )
 
 P323 = MaccParams(3, 2, 3)
@@ -83,3 +86,9 @@ def test_achievable_points_csv():
     stream = io.StringIO()
     write_achievable_points_csv(stream, [(F(2, 3), F(1), "appendix-b")])
     assert stream.getvalue() == "M,R,scheme_id\n2/3,1,appendix-b\n"
+
+
+def test_json_report_refuses_non_finite_numbers():
+    for value in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError):
+            write_json_report(io.StringIO(), {"min_margin": value})
