@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
-from .params import MaccParams
+from .params import InputError, MaccParams
 
 Rational = Fraction
 MemoryLike = Union[int, str, Fraction]
@@ -44,7 +44,7 @@ def as_memory(M: MemoryLike) -> Fraction:
 def _check_memory(params: MaccParams, M: MemoryLike) -> Fraction:
     m = as_memory(M)
     if not 0 <= m <= params.N:
-        raise ValueError(f"memory M={m} outside [0, N={params.N}]")
+        raise InputError(f"memory M={m} outside [0, N={params.N}]")
     return m
 
 
@@ -100,7 +100,7 @@ def _cutset_space(params: MaccParams) -> Iterator[dict]:
 
 def _check_s(params: MaccParams, s: int) -> None:
     if not 1 <= s <= min(params.K, params.N):
-        raise ValueError(f"s={s} outside [1, min(K, N)]")
+        raise InputError(f"s={s} outside [1, min(K, N)]")
 
 
 def _cutset_coeffs(params: MaccParams, s: int) -> tuple[Fraction, Fraction]:
@@ -122,9 +122,9 @@ def _improved_space(params: MaccParams) -> Iterator[dict]:
 def _improved_coeffs(params: MaccParams, s: int, l: int) -> tuple[Fraction, Fraction]:
     K, L, N = params.K, params.L, params.N
     if not 1 <= s <= K:
-        raise ValueError(f"s={s} outside [1, K]")
+        raise InputError(f"s={s} outside [1, K]")
     if not 1 <= l <= -(-N // s):
-        raise ValueError(f"l={l} outside [1, ceil(N/s)]")
+        raise InputError(f"l={l} outside [1, ceil(N/s)]")
     p = min(s + L - 1, K)
     intercept = Fraction(K * N - (K - p) * max(0, N - l * s) - K * max(0, N - l * K), K * l)
     return intercept, Fraction(p, l)
@@ -141,7 +141,7 @@ def _lemma2_space(params: MaccParams, b_cap: int) -> Iterator[dict]:
 def _lemma2_coeffs(params: MaccParams, s: int, t: int, b: int) -> tuple[Fraction, Fraction]:
     K, L, N = params.K, params.L, params.N
     if b < 1 or not 1 <= t <= K or s < 1 or not L <= s * t <= K // 2:
-        raise ValueError(f"(s={s}, t={t}, b={b}) outside the searched parameter set")
+        raise InputError(f"(s={s}, t={t}, b={b}) outside the searched parameter set")
     lam_den = 1 if s * t == L else 2
     return Fraction(min((s * t - L + 1) * s * b, N), s * b * lam_den), Fraction(t, b)
 
@@ -191,7 +191,7 @@ FAMILY_IDS = (*FAMILIES, BEST)
 
 def _family(bound_id: str) -> Family:
     if bound_id not in FAMILIES:
-        raise ValueError(f"unknown bound id {bound_id!r}; expected one of {FAMILY_IDS}")
+        raise InputError(f"unknown bound id {bound_id!r}; expected one of {FAMILY_IDS}")
     return FAMILIES[bound_id]
 
 
@@ -299,7 +299,7 @@ def hkd_lemma2_bound(
     b_max = 200).
     """
     if b_max is not None and b_max < 1:
-        raise ValueError(f"b_max must be >= 1, got {b_max}")
+        raise InputError(f"b_max must be >= 1, got {b_max}")
     return _bound(FAMILIES["hkd_lemma2"], params, M, None if b_max is None else {"b_cap": b_max})
 
 
@@ -345,9 +345,9 @@ def uniform_grid(start: MemoryLike, stop: MemoryLike, count: int) -> list[Fracti
     """count exact rationals uniformly spaced on [start, stop], endpoints included."""
     lo, hi = as_memory(start), as_memory(stop)
     if count < 2:
-        raise ValueError(f"grid count must be >= 2, got {count}")
+        raise InputError(f"grid count must be >= 2, got {count}")
     if hi <= lo:
-        raise ValueError(f"grid needs start < stop, got [{lo}, {hi}]")
+        raise InputError(f"grid needs start < stop, got [{lo}, {hi}]")
     step = (hi - lo) / (count - 1)
     return [lo + i * step for i in range(count)]
 
@@ -368,9 +368,9 @@ def sweep_curve(
     family = None if bound_id == BEST else _family(bound_id)
     grid = [_check_memory(params, m) for m in m_grid]
     if not grid:
-        raise ValueError("empty memory grid")
+        raise InputError("empty memory grid")
     if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("memory grid must be strictly increasing")
+        raise InputError("memory grid must be strictly increasing")
     points = _best(params, grid) if family is None else _curve(family, params, grid)
     return BoundCurve(params=params, bound_id=bound_id, points=points)
 
@@ -441,7 +441,7 @@ def verify_dominance(params: MaccParams, m_grid: Sequence[MemoryLike]) -> Domina
 
     grid = [_check_memory(params, m) for m in m_grid]
     if not grid:
-        raise ValueError("empty memory grid")
+        raise InputError("empty memory grid")
     full_access = Fraction(params.N, params.L)
     names = ("improved_thm2", "cutset_thm1", "hkd2_lemma3")
     curves = (_curve(FAMILIES[name], params, grid) for name in names)

@@ -2,7 +2,8 @@
 verification, and entropy test batches.
 
 Exit codes: 0 success, 1 a mathematical check failed, 2 usage or
-configuration error, 3 output could not be written.  Outputs are
+configuration error (an ``InputError`` from any module), 3 output could
+not be written, 4 internal error (traceback on stderr).  Outputs are
 deterministic: identical flags and seed produce byte-identical files.
 """
 
@@ -11,38 +12,33 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
 from . import bounds, entropy, schemes, serialize
-from .params import MaccParams
+from .params import InputError, MaccParams
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 OUTPUT_DIR_ENV = "MACCKIT_OUT_DIR"
-
-
-class UsageError(ValueError):
-    """Bad flag values or inadmissible configuration (exit 2)."""
 
 
 def parse_grid(spec: str) -> list[Fraction]:
     """Parse "start:stop:count" with exact rational endpoints."""
     pieces = spec.split(":")
     if len(pieces) != 3:
-        raise UsageError(f"grid must look like start:stop:count, got {spec!r}")
+        raise InputError(f"grid must look like start:stop:count, got {spec!r}")
     try:
         start, stop = Fraction(pieces[0]), Fraction(pieces[1])
         count = int(pieces[2])
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad grid {spec!r}: {exc}") from exc
-    try:
-        return bounds.uniform_grid(start, stop, count)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise InputError(f"bad grid {spec!r}: {exc}") from exc
+    return bounds.uniform_grid(start, stop, count)
 
 
 def parse_families(spec: str) -> list[str]:
@@ -52,28 +48,18 @@ def parse_families(spec: str) -> list[str]:
         name = name.strip()
         family = aliases.get(name, name)
         if family not in bounds.FAMILY_IDS:
-            raise UsageError(
+            raise InputError(
                 f"unknown bound family {name!r}; known: {', '.join(bounds.FAMILY_IDS)}"
             )
         if family not in families:
             families.append(family)
     if not families:
-        raise UsageError("empty family list")
+        raise InputError("empty family list")
     return families
 
 
-def _params_from(args: argparse.Namespace) -> MaccParams:
-    try:
-        return MaccParams(K=args.K, L=args.L, N=args.N)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _grid_from(args: argparse.Namespace, params: MaccParams) -> list[Fraction]:
-    grid = bounds.default_memory_grid(params) if args.grid is None else parse_grid(args.grid)
-    if grid[-1] > params.N:
-        raise UsageError(f"grid exceeds N={params.N}")
-    return grid
+    return bounds.default_memory_grid(params) if args.grid is None else parse_grid(args.grid)
 
 
 def _output_path(args: argparse.Namespace, default_name: str) -> Path:
@@ -100,7 +86,7 @@ class IOFailure(OSError):
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    params = _params_from(args)
+    params = MaccParams(K=args.K, L=args.L, N=args.N)
     families = parse_families(args.families)
     grid = _grid_from(args, params)
 
@@ -120,7 +106,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    params = _params_from(args)
+    params = MaccParams(K=args.K, L=args.L, N=args.N)
     grid = _grid_from(args, params)
 
     report = bounds.verify_dominance(params, grid)
@@ -134,14 +120,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    params = _params_from(args)
+    params = MaccParams(K=args.K, L=args.L, N=args.N)
     scheme = schemes.SCHEMES[args.scheme]()
     library = schemes.FileLibrary.random(params, args.F, args.seed)
-    try:
-        scheme.check_library(library)
-    except (schemes.SubpacketizationError, ValueError) as exc:
-        raise UsageError(str(exc)) from exc
-
     report = schemes.verify_scheme(scheme, library)
     if args.out is not None:
         _write_text(
@@ -163,12 +144,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_entropy_test(args: argparse.Namespace) -> int:
-    if args.trials < 1:
-        raise UsageError(f"trials must be >= 1, got {args.trials}")
     if args.K < 2:
-        raise UsageError(f"K must be >= 2, got {args.K}")
+        raise InputError(f"K must be >= 2, got {args.K}")
     if args.alphabet < 2:
-        raise UsageError(f"alphabet must be >= 2, got {args.alphabet}")
+        raise InputError(f"alphabet must be >= 2, got {args.alphabet}")
 
     sliding = entropy.run_sliding_window_batch(
         args.K, args.alphabet, args.trials, args.seed, tol=args.tol
@@ -260,15 +239,15 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         return args.func(args)
-    except IOFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (UsageError, ValueError, TypeError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except Exception:  # a bug, not bad input: keep the traceback
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 def run() -> None:

@@ -15,9 +15,18 @@ from typing import Sequence
 
 import numpy as np
 
+from .params import InputError
+
 DEFAULT_TOL = 1e-9
 NORMALIZATION_TOL = 1e-12
 MAX_OUTCOMES = 1 << 16
+
+
+def _check_sizes(sizes: tuple[int, ...]) -> None:
+    if not sizes or any(a < 1 for a in sizes):
+        raise InputError(f"alphabet sizes must be positive: {sizes}")
+    if math.prod(sizes) > MAX_OUTCOMES:
+        raise InputError(f"product alphabet exceeds {MAX_OUTCOMES} outcomes")
 
 
 @dataclass(frozen=True)
@@ -34,18 +43,15 @@ class JointPmf:
     def __post_init__(self) -> None:
         sizes = tuple(int(a) for a in self.alphabet_sizes)
         object.__setattr__(self, "alphabet_sizes", sizes)
-        if not sizes or any(a < 1 for a in sizes):
-            raise ValueError(f"alphabet sizes must be positive: {sizes}")
-        if math.prod(sizes) > MAX_OUTCOMES:
-            raise ValueError(f"product alphabet exceeds {MAX_OUTCOMES} outcomes")
+        _check_sizes(sizes)
         probs = np.asarray(self.probs, dtype=np.float64)
         if probs.shape != sizes:
-            raise ValueError(f"probs shape {probs.shape} != alphabet sizes {sizes}")
+            raise InputError(f"probs shape {probs.shape} != alphabet sizes {sizes}")
         if (probs < 0).any():
-            raise ValueError("probabilities must be non-negative")
+            raise InputError("probabilities must be non-negative")
         total = float(probs.sum())
         if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
+            raise InputError(f"probabilities sum to {total!r}, not 1")
         probs = probs.copy()
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
@@ -59,6 +65,7 @@ class JointPmf:
         """Uniform draw from the probability simplex (normalized exponentials),
         so the support is full and 0*log(0) corners do not arise."""
         sizes = tuple(int(a) for a in alphabet_sizes)
+        _check_sizes(sizes)  # before numpy allocates the table
         table = rng.exponential(size=sizes)
         return cls(alphabet_sizes=sizes, probs=table / table.sum())
 
@@ -79,9 +86,9 @@ def marginal_entropy(pmf: JointPmf, subset: Sequence[int]) -> float:
     """Entropy of the marginal over the given variables (1-based indices)."""
     indices = sorted(set(subset))
     if not indices:
-        raise ValueError("subset must be non-empty")
+        raise InputError("subset must be non-empty")
     if indices[0] < 1 or indices[-1] > pmf.K:
-        raise ValueError(f"subset {sorted(set(subset))} outside [1, K={pmf.K}]")
+        raise InputError(f"subset {sorted(set(subset))} outside [1, K={pmf.K}]")
     drop = tuple(axis for axis in range(pmf.K) if axis + 1 not in indices)
     marginal = pmf.probs.sum(axis=drop) if drop else pmf.probs
     return _entropy(marginal)
@@ -94,7 +101,7 @@ def _window(start: int, length: int, K: int) -> list[int]:
 def window_entropy_sum(pmf: JointPmf, s: int) -> float:
     """(1/s) * sum over i of H(cyclic window of length s starting at i)."""
     if not 1 <= s <= pmf.K:
-        raise ValueError(f"window length s={s} outside [1, K={pmf.K}]")
+        raise InputError(f"window length s={s} outside [1, K={pmf.K}]")
     total = sum(marginal_entropy(pmf, _window(i, s, pmf.K)) for i in range(1, pmf.K + 1))
     return total / s
 
@@ -139,7 +146,7 @@ class WindowCheckReport:
 def _check_tol(tol: float) -> None:
     # a NaN tolerance would compare False against every margin and pass all checks
     if not 0 < tol < math.inf:
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+        raise InputError(f"tolerance must be finite and positive, got {tol}")
 
 
 def _window_report(
@@ -168,7 +175,7 @@ def check_sliding_window(
     _check_tol(tol)
     if pmf.K < 2:
         # one variable has no pair of window lengths to compare
-        raise ValueError("need at least two variables")
+        raise InputError("need at least two variables")
     sequence = [window_entropy_sum(pmf, s) for s in range(1, pmf.K + 1)]
     return _window_report(pmf.K, pmf, seed, sequence, sequence[1:], tol)
 
@@ -199,7 +206,7 @@ def check_conditional_window(
     conditional entropy."""
     _check_tol(tol)
     if pmf.K < 2:
-        raise ValueError("need at least one conditioned variable plus the conditioner")
+        raise InputError("need at least one conditioned variable plus the conditioner")
     sequence = _conditional_window_sequence(pmf)
     # every full-length window is the whole set
     return _window_report(pmf.K - 1, pmf, seed, sequence, [sequence[-1]] * len(sequence), tol)
@@ -241,7 +248,9 @@ def _batch(
     """trials random pmfs over `variables` variables, each run through check;
     one RNG stream keyed by seed makes the batch reproducible."""
     if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+        raise InputError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     min_margin = math.inf
     failures = []

@@ -5,6 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+class InputError(ValueError):
+    """A caller passed a value the package refuses (the CLI exits 2)."""
+
+
 @dataclass(frozen=True)
 class MaccParams:
     """The (K, L, N) multi-access network triple.
@@ -23,8 +27,8 @@ class MaccParams:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise TypeError(f"{name} must be an int, got {value!r}")
         if self.K < 1:
-            raise ValueError(f"K must be >= 1, got {self.K}")
+            raise InputError(f"K must be >= 1, got {self.K}")
         if not 1 <= self.L <= self.K:
-            raise ValueError(f"L must satisfy 1 <= L <= K, got L={self.L}, K={self.K}")
+            raise InputError(f"L must satisfy 1 <= L <= K, got L={self.L}, K={self.K}")
         if self.N < 1:
-            raise ValueError(f"N must be >= 1, got {self.N}")
+            raise InputError(f"N must be >= 1, got {self.N}")

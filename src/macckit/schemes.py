@@ -14,12 +14,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .params import MaccParams
+from .params import InputError, MaccParams
 
 Demand = tuple[int, ...]
 
 
-class SubpacketizationError(ValueError):
+class SubpacketizationError(InputError):
     """File length F is not divisible by the scheme's subfile count."""
 
 
@@ -30,7 +30,7 @@ class SubpacketizationError(ValueError):
 
 def xor_bits(a: bytes, b: bytes) -> bytes:
     if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
+        raise InputError(f"length mismatch: {len(a)} vs {len(b)}")
     return bytes(x ^ y for x, y in zip(a, b))
 
 
@@ -41,7 +41,7 @@ def random_bits(rng: random.Random, n: int) -> bytes:
 def split_bits(vec: bytes, parts: int) -> list[bytes]:
     """Split into equal parts; length must divide evenly."""
     if len(vec) % parts != 0:
-        raise ValueError(f"cannot split {len(vec)} bits into {parts} equal parts")
+        raise InputError(f"cannot split {len(vec)} bits into {parts} equal parts")
     size = len(vec) // parts
     return [vec[i * size : (i + 1) * size] for i in range(parts)]
 
@@ -54,14 +54,14 @@ def split_bits(vec: bytes, parts: int) -> list[bytes]:
 def cyclic_index(i: int, K: int) -> int:
     """Map any integer to [1..K] cyclically (multiples of K map to K)."""
     if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
+        raise InputError(f"K must be >= 1, got {K}")
     return (i - 1) % K + 1
 
 
 def access_window(k: int, params: MaccParams) -> list[int]:
     """The L consecutive cache indices user k reads, wrapping around."""
     if not 1 <= k <= params.K:
-        raise ValueError(f"user index k={k} outside [1, K={params.K}]")
+        raise InputError(f"user index k={k} outside [1, K={params.K}]")
     return [cyclic_index(k + j, params.K) for j in range(params.L)]
 
 
@@ -81,14 +81,14 @@ class FileLibrary:
 
     def __post_init__(self) -> None:
         if self.F < 1:
-            raise ValueError(f"F must be >= 1, got {self.F}")
+            raise InputError(f"F must be >= 1, got {self.F}")
         if len(self.files) != self.params.N:
-            raise ValueError(f"expected {self.params.N} files, got {len(self.files)}")
+            raise InputError(f"expected {self.params.N} files, got {len(self.files)}")
         for n, f in enumerate(self.files, start=1):
             if len(f) != self.F:
-                raise ValueError(f"file {n} has {len(f)} bits, expected {self.F}")
+                raise InputError(f"file {n} has {len(f)} bits, expected {self.F}")
             if any(bit not in (0, 1) for bit in f):
-                raise ValueError(f"file {n} contains non-bit values")
+                raise InputError(f"file {n} contains non-bit values")
 
     def file(self, n: int) -> bytes:
         """File n, 1-based."""
@@ -110,8 +110,7 @@ class FileLibrary:
 
     @classmethod
     def unit(cls, params: MaccParams, F: int, n: int, bit: int) -> "FileLibrary":
-        """All-zero library except bit `bit` of file `n` (both 0-based offsets
-        would be error-prone here: n is 1-based, bit is 0-based)."""
+        """All-zero library except bit `bit` of file `n` (n is 1-based, bit 0-based)."""
         files = [bytearray(F) for _ in range(params.N)]
         files[n - 1][bit] = 1
         return cls(params=params, F=F, files=tuple(bytes(f) for f in files))
@@ -128,13 +127,13 @@ class CacheContents:
 
     def __post_init__(self) -> None:
         if len(self.caches) != self.params.K:
-            raise ValueError(f"expected {self.params.K} caches, got {len(self.caches)}")
+            raise InputError(f"expected {self.params.K} caches, got {len(self.caches)}")
         size = self.M * self.F
         if size.denominator != 1:
             raise SubpacketizationError(f"M*F = {size} is not an integer bit count")
         for i, z in enumerate(self.caches, start=1):
             if len(z) != size:
-                raise ValueError(f"cache {i} has {len(z)} bits, expected {size}")
+                raise InputError(f"cache {i} has {len(z)} bits, expected {size}")
 
     def cache(self, i: int) -> bytes:
         """Cache i, 1-based."""
@@ -160,9 +159,9 @@ def all_demand_vectors(params: MaccParams):
 
 def validate_demand(d: Demand, params: MaccParams) -> None:
     if len(d) != params.K:
-        raise ValueError(f"demand vector has {len(d)} entries, expected K={params.K}")
+        raise InputError(f"demand vector has {len(d)} entries, expected K={params.K}")
     if any(not 1 <= x <= params.N for x in d):
-        raise ValueError(f"demand entries must lie in [1, N={params.N}]: {d}")
+        raise InputError(f"demand entries must lie in [1, N={params.N}]: {d}")
 
 
 # ---------------------------------------------------------------------------
@@ -180,14 +179,16 @@ class Scheme(abc.ABC):
     id: str
     memory: Fraction
     subpacketization: int
+    #: the one network the scheme is defined for; None means every network
+    network: MaccParams | None = None
 
-    @abc.abstractmethod
     def admissible(self, params: MaccParams) -> bool:
         """Whether this scheme is defined for the given network."""
+        return self.network in (None, params)
 
     def check_library(self, library: FileLibrary) -> None:
         if not self.admissible(library.params):
-            raise ValueError(f"scheme {self.id!r} is not defined for {library.params}")
+            raise InputError(f"scheme {self.id!r} is not defined for {library.params}")
         if library.F % self.subpacketization != 0:
             raise SubpacketizationError(
                 f"scheme {self.id!r} needs F divisible by {self.subpacketization}, got F={library.F}"
@@ -224,10 +225,7 @@ class CodedPlacementScheme323(Scheme):
     id = "appendix-b"
     memory = Fraction(2, 3)
     subpacketization = 3
-    _params = MaccParams(K=3, L=2, N=3)
-
-    def admissible(self, params: MaccParams) -> bool:
-        return params == self._params
+    network = MaccParams(K=3, L=2, N=3)
 
     @staticmethod
     def _subfile(library: FileLibrary, n: int, i: int) -> bytes:
@@ -294,16 +292,10 @@ class ZeroMemoryScheme(Scheme):
     memory = Fraction(0)
     subpacketization = 1
 
-    def admissible(self, params: MaccParams) -> bool:
-        return True
-
     def place(self, library: FileLibrary) -> CacheContents:
         self.check_library(library)
         return CacheContents(
-            params=library.params,
-            M=self.memory,
-            F=library.F,
-            caches=tuple(b"" for _ in range(library.params.K)),
+            params=library.params, M=self.memory, F=library.F, caches=(b"",) * library.params.K
         )
 
     def deliver(self, library: FileLibrary, demand: Demand) -> Transmission:
@@ -333,10 +325,7 @@ class FullAccessCornerScheme323(Scheme):
     id = "corner-323"
     memory = Fraction(3, 2)
     subpacketization = 2
-    _params = MaccParams(K=3, L=2, N=3)
-
-    def admissible(self, params: MaccParams) -> bool:
-        return params == self._params
+    network = MaccParams(K=3, L=2, N=3)
 
     def place(self, library: FileLibrary) -> CacheContents:
         self.check_library(library)
@@ -352,18 +341,16 @@ class FullAccessCornerScheme323(Scheme):
         self, k: int, transmission: Transmission, window_caches: list[bytes], demand: Demand
     ) -> bytes:
         n = demand[k - 1]
-        window = access_window(k, self._params)
+        window = access_window(k, self.network)
         stored = dict(zip(window, window_caches))
         f = len(window_caches[0]) // 3
 
         def part(cache_index: int) -> bytes:
             return stored[cache_index][(n - 1) * f : n * f]
 
-        if 1 in stored and 2 in stored:
-            return part(1) + part(2)
-        if 2 in stored and 3 in stored:
-            return xor_bits(part(2), part(3)) + part(2)
-        return part(1) + xor_bits(part(1), part(3))
+        a = part(1) if 1 in stored else xor_bits(part(2), part(3))
+        b = part(2) if 2 in stored else xor_bits(part(1), part(3))
+        return a + b
 
     def deliver(self, library: FileLibrary, demand: Demand) -> Transmission:
         self.check_library(library)
@@ -454,6 +441,7 @@ def verify_scheme(
     if caches is None:
         caches = scheme.place(library)
 
+    windows = [[caches.cache(i) for i in access_window(k, params)] for k in range(1, params.K + 1)]
     per_demand = []
     failures = []
     worst = Fraction(0)
@@ -461,8 +449,7 @@ def verify_scheme(
         transmission = scheme.deliver(library, demand)
         worst = max(worst, transmission.rate)
         ok = True
-        for k in range(1, params.K + 1):
-            window = [caches.cache(i) for i in access_window(k, params)]
+        for k, window in enumerate(windows, start=1):
             decoded = scheme.decode(k, transmission, window, demand)
             if decoded != library.file(demand[k - 1]):
                 ok = False

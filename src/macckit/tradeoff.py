@@ -7,6 +7,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .bounds import MemoryLike, as_memory
+from .params import InputError
 
 Point = tuple[Fraction, Fraction]
 
@@ -31,7 +32,7 @@ def lower_convex_envelope(points: Sequence[tuple[MemoryLike, MemoryLike]]) -> li
     Points above the hull are dropped; duplicate memories keep the lowest R.
     """
     if not points:
-        raise ValueError("empty point set")
+        raise InputError("empty point set")
     exact = [(as_memory(m), as_memory(r)) for m, r in points]
     by_memory: dict[Fraction, Fraction] = {}
     for m, r in exact:
@@ -55,7 +56,7 @@ def memory_share(points: Sequence[tuple[MemoryLike, MemoryLike]], M: MemoryLike)
     m = as_memory(M)
     hull = lower_convex_envelope(points)
     if not hull[0][0] <= m <= hull[-1][0]:
-        raise ValueError(
+        raise InputError(
             f"M={m} outside the convex hull [{hull[0][0]}, {hull[-1][0]}] of the given points"
         )
     for (m0, r0), (m1, r1) in zip(hull, hull[1:]):
@@ -71,7 +72,7 @@ def optimal_tradeoff_323(M: MemoryLike) -> Fraction:
     """
     m = as_memory(M)
     if not 0 <= m <= Fraction(3, 2):
-        raise ValueError(f"M={m} outside [0, 3/2]")
+        raise InputError(f"M={m} outside [0, 3/2]")
     if m <= Fraction(2, 3):
         return 3 * (1 - m)
     if m <= 1:

@@ -3,11 +3,17 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import macckit
 from macckit.cli import (
     EXIT_CHECK_FAILED,
+    EXIT_INTERNAL,
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
@@ -239,6 +245,52 @@ class TestParsers:
 
     def test_help_exits_zero(self):
         assert run_cli("--help") == EXIT_OK
+
+
+#: Inputs the package refuses; each must exit EXIT_USAGE whichever check
+#: catches it (CLI, params, bounds, schemes or entropy).
+REFUSED = [
+    ("bounds", "--K", "3", "--L", "2", "--N", "3", "--grid=-1:1:5"),
+    ("compare", "--K", "3", "--L", "2", "--N", "3", "--grid", "0:4:5"),
+    ("simulate", "--scheme", "zero-memory", "--F", "0"),
+    ("entropy-test", "--seed", "-1", "--trials", "2"),
+    ("entropy-test", "--K", "20", "--alphabet", "2", "--trials", "1"),
+    ("entropy-test", "--tol", "-1", "--trials", "1"),
+    ("entropy-test", "--K", "1"),
+]
+
+
+@pytest.mark.parametrize("argv", REFUSED, ids=[" ".join(argv) for argv in REFUSED])
+def test_refused_input_exits_usage(tmp_path, argv, capsys):
+    assert run_cli(*argv, "--out", str(tmp_path / "out")) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("exc", [ValueError, KeyError])
+def test_internal_error_exits_internal(monkeypatch, capsys, exc):
+    # a bug inside the library is neither bad input nor an I/O failure
+    import macckit.cli as cli
+
+    def broken(*args):
+        raise exc("injected")
+
+    monkeypatch.setattr(cli.bounds, "sweep_curve", broken)
+    assert run_cli("bounds", "--K", "3", "--L", "2", "--N", "3", "--grid", "0:1:3") == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "Traceback (most recent call last)" in err
+    assert f"{exc.__name__}: " in err
+
+
+def test_module_entry_point_exit_code():
+    # the child must import the same package this suite tests
+    src = str(Path(macckit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "macckit.cli", "simulate", "--scheme", "appendix-b", "--F", "10"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
+    )
+    assert proc.returncode == EXIT_USAGE
+    assert "needs F divisible by 3" in proc.stderr
 
 
 #: sha256 of output files at fixed flags.  The bound, dominance, scheme and

@@ -12,6 +12,7 @@ from macckit import (
     run_sliding_window_batch,
     window_entropy_sum,
 )
+from macckit.params import InputError
 
 
 def fully_correlated_bits(K):
@@ -216,3 +217,14 @@ class TestBatches:
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError):
             run_sliding_window_batch(3, 2, 0, seed=0)
+
+    def test_negative_seed_refused_by_name(self):
+        with pytest.raises(InputError, match="seed must be >= 0, got -1"):
+            run_sliding_window_batch(3, 2, 1, seed=-1)
+
+    def test_oversized_alphabet_refused_before_drawing(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(InputError, match="exceeds"):
+            JointPmf.random((300,) * 3, rng)  # 27M outcomes, never allocated
+        assert rng.bit_generator.state == state

@@ -1,6 +1,7 @@
 import pytest
 
-from macckit import MaccParams
+from macckit import MaccParams, SubpacketizationError
+from macckit.params import InputError
 
 
 def test_valid_triples():
@@ -13,6 +14,14 @@ def test_valid_triples():
 def test_invalid_triples(K, L, N):
     with pytest.raises(ValueError):
         MaccParams(K, L, N)
+
+
+def test_one_refusal_type():
+    # InputError stays a ValueError, so callers catching ValueError still work
+    assert issubclass(InputError, ValueError)
+    assert issubclass(SubpacketizationError, InputError)
+    with pytest.raises(InputError):
+        MaccParams(3, 4, 3)
 
 
 def test_non_integer_rejected():
