@@ -15,8 +15,8 @@ the four families is defined by one entry of ``FAMILIES``:
   L <= floor(K/2)
 * ``hkd2_lemma3``   -- prior cut-set bound without the min(.., K) cap on
   the cache coefficient
-* ``best``          -- pointwise maximum of the applicable families,
-  clamped below at zero
+* ``best``          -- maximum over every family's terms in registry order
+  (the first maximum wins), clamped below at zero
 """
 
 from __future__ import annotations
@@ -157,14 +157,14 @@ class Family:
     space: Callable[..., Iterator[dict]]
     #: coeffs(params, **witness) -> (intercept, slope)
     coeffs: Callable[..., tuple[Fraction, Fraction]]
-    #: default search caps, also written to JSON curve files
+    #: search caps, also written to JSON curve files
     caps: Callable[[MaccParams], dict] = lambda params: {}
     #: why the space is empty, for families where it can be
     empty_note: Callable[[MaccParams], str] | None = None
 
 
-#: Registry order is the order best_lower_bound consults the families
-#: (first strict maximum wins ties).
+#: Registry order is the order of the families' terms in best (first strict
+#: maximum wins ties).
 FAMILIES = {
     family.id: family
     for family in (
@@ -195,9 +195,9 @@ def _family(bound_id: str) -> Family:
     return FAMILIES[bound_id]
 
 
-def _terms(family: Family, params: MaccParams, caps: dict | None = None) -> Iterator[Term]:
+def _terms(family: Family, params: MaccParams) -> Iterator[Term]:
     """The family's terms, lazily, in tie-break order."""
-    for witness in family.space(params, **(family.caps(params) if caps is None else caps)):
+    for witness in family.space(params, **family.caps(params)):
         yield (witness, *family.coeffs(params, **witness))
 
 
@@ -207,35 +207,27 @@ def _term_value(family: Family, params: MaccParams, M: MemoryLike, **witness: in
     return intercept - slope * m
 
 
-def _curve(
-    family: Family, params: MaccParams, grid: Sequence[Fraction], caps: dict | None = None
-) -> tuple[BoundPoint, ...]:
-    """The family maximized at each grid point, () when it is inapplicable.
-    This is the only place terms are enumerated: the term set is independent
-    of M, so it is built once and reused at every point."""
-    terms = list(_terms(family, params, caps))
-    return tuple(_maximize(terms, m) for m in grid) if terms else ()
+def _points(params: MaccParams, bound_id: str, grid: Sequence[Fraction]) -> tuple[BoundPoint, ...]:
+    """The bound maximized at each point of a checked grid, () when it is
+    inapplicable; the only place terms are enumerated, once per call.  best's
+    terms are every family's in registry order, tagged with the family, so the
+    first strict maximum wins across families as within one; clamped at 0."""
+    if bound_id != BEST:
+        terms = list(_terms(_family(bound_id), params))
+        return tuple(_maximize(terms, m) for m in grid) if terms else ()
+    terms = [
+        ({"family": name, **witness}, a, b)
+        for name, family in FAMILIES.items()
+        for witness, a, b in _terms(family, params)
+    ]
+    points = (_maximize(terms, m) for m in grid)
+    return tuple(
+        p if p.R >= 0 else BoundPoint(p.M, Fraction(0), {**p.witness, "clamped": True}) for p in points
+    )
 
 
-def _best(params: MaccParams, grid: Sequence[Fraction]) -> tuple[BoundPoint, ...]:
-    """Pointwise maximum of the applicable families' curves, clamped below at
-    zero.  Families are consulted in registry order and the first strict
-    maximum wins, because max returns the first of equal keys."""
-    curves = {name: c for name, f in FAMILIES.items() if (c := _curve(f, params, grid))}
-    points = []
-    for i, m in enumerate(grid):
-        family, point = max(((name, c[i]) for name, c in curves.items()), key=lambda p: p[1].R)
-        witness = {"family": family, **point.witness}
-        if point.R < 0:
-            witness["clamped"] = True
-        points.append(BoundPoint(M=m, R=max(point.R, Fraction(0)), witness=witness))
-    return tuple(points)
-
-
-def _bound(
-    family: Family, params: MaccParams, M: MemoryLike, caps: dict | None = None
-) -> BoundPoint | None:
-    points = _curve(family, params, [_check_memory(params, M)], caps)
+def _bound(params: MaccParams, bound_id: str, M: MemoryLike) -> BoundPoint | None:
+    points = _points(params, bound_id, [_check_memory(params, M)])
     return points[0] if points else None
 
 
@@ -277,63 +269,55 @@ def cutset_bound(params: MaccParams, M: MemoryLike) -> BoundPoint:
     The raw maximum is returned; it may be negative for large M (display
     layers clamp at zero).
     """
-    return _bound(FAMILIES["cutset_thm1"], params, M)
+    return _bound(params, "cutset_thm1", M)
 
 
 def improved_bound(params: MaccParams, M: MemoryLike) -> BoundPoint:
     """Refined lower bound: max over s in [1, K], l in [1, ceil(N/s)] of
     improved_term.  Dominates cutset_bound on [0, N/L]."""
-    return _bound(FAMILIES["improved_thm2"], params, M)
+    return _bound(params, "improved_thm2", M)
 
 
-def hkd_lemma2_bound(
-    params: MaccParams, M: MemoryLike, b_max: int | None = None
-) -> BoundPoint | None:
+def hkd_lemma2_bound(params: MaccParams, M: MemoryLike) -> BoundPoint | None:
     """Prior window-counting bound, maximized over its (s, t, b) set.
 
     Returns None when the parameter set is empty, i.e. L > floor(K/2).
-    b ranges over [1, b_max], by default [1, N].  A non-negative maximum is
+    b ranges over [1, N] (the JSON ``b_cap``).  A non-negative maximum is
     reached with b <= N, so the value clamped at zero does not depend on the
-    cap.  A negative maximum does: larger b moves it toward zero (on
-    (20, 5, 20) at M = 10 it is -3/10 with b_max = 20 and -3/100 with
-    b_max = 200).
+    cap.  A negative maximum does: larger b would move it toward zero (on
+    (20, 5, 20) at M = 10 it is -3/10 with b <= 20 and -3/100 with b <= 200).
     """
-    if b_max is not None and b_max < 1:
-        raise InputError(f"b_max must be >= 1, got {b_max}")
-    return _bound(FAMILIES["hkd_lemma2"], params, M, None if b_max is None else {"b_cap": b_max})
+    return _bound(params, "hkd_lemma2", M)
 
 
 def hkd2_lemma3_bound(params: MaccParams, M: MemoryLike) -> BoundPoint:
     """Prior cut-set bound: like cutset_bound but the cache coefficient is
     s+L-1 without the min(.., K) cap, so it is never tighter."""
-    return _bound(FAMILIES["hkd2_lemma3"], params, M)
+    return _bound(params, "hkd2_lemma3", M)
 
 
 def best_lower_bound(params: MaccParams, M: MemoryLike) -> BoundPoint:
-    """Pointwise maximum of the applicable families, clamped below at zero.
+    """Maximum over every family's terms in registry order, clamped below at zero.
 
     The witness records the winning family and its parameters; when the
     clamp raises a negative maximum to zero the witness gains
     ``clamped: True``.
     """
-    return _best(params, [_check_memory(params, M)])[0]
+    return _bound(params, BEST, M)
 
 
 def evaluate_bound(params: MaccParams, bound_id: str, M: MemoryLike) -> BoundPoint | None:
     """Evaluate one family by id; None means inapplicable at these params."""
-    if bound_id == BEST:
-        return best_lower_bound(params, M)
-    return _bound(_family(bound_id), params, M)
+    return _bound(params, bound_id, M)
 
 
 def evaluate_witness(params: MaccParams, bound_id: str, witness: dict, M: MemoryLike) -> Fraction:
     """Re-evaluate the single term named by a witness (must reproduce R)."""
-    if bound_id == BEST:
-        family = witness["family"]
-        inner = {k: v for k, v in witness.items() if k not in ("family", "clamped")}
-        value = evaluate_witness(params, family, inner, M)
-        return max(Fraction(0), value) if witness.get("clamped") else value
-    return _term_value(_family(bound_id), params, M, **witness)
+    if bound_id != BEST:
+        return _term_value(_family(bound_id), params, M, **witness)
+    inner = {k: v for k, v in witness.items() if k not in ("family", "clamped")}
+    value = _term_value(_family(witness.get("family")), params, M, **inner)
+    return max(Fraction(0), value) if witness.get("clamped") else value
 
 
 # ---------------------------------------------------------------------------
@@ -357,21 +341,23 @@ def default_memory_grid(params: MaccParams, count: int = 101) -> list[Fraction]:
     return uniform_grid(0, Fraction(params.N, params.L), count)
 
 
-def sweep_curve(
-    params: MaccParams, bound_id: str, m_grid: Sequence[MemoryLike]
-) -> BoundCurve:
-    """Evaluate one family on a strictly increasing memory grid.
-
-    Family points keep the raw R values (export layers clamp at zero); best
-    points are clamped.  An inapplicable family yields a curve with no points.
-    """
-    family = None if bound_id == BEST else _family(bound_id)
+def _grid(params: MaccParams, m_grid: Sequence[MemoryLike]) -> list[Fraction]:
+    """The grid as exact memories: non-empty, strictly increasing, in [0, N]."""
     grid = [_check_memory(params, m) for m in m_grid]
     if not grid:
         raise InputError("empty memory grid")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InputError("memory grid must be strictly increasing")
-    points = _best(params, grid) if family is None else _curve(family, params, grid)
+    return grid
+
+
+def sweep_curve(params: MaccParams, bound_id: str, m_grid: Sequence[MemoryLike]) -> BoundCurve:
+    """Evaluate one family on a strictly increasing memory grid.
+
+    Family points keep the raw R values (export layers clamp at zero); best
+    points are clamped.  An inapplicable family yields a curve with no points.
+    """
+    points = _points(params, bound_id, _grid(params, m_grid))
     return BoundCurve(params=params, bound_id=bound_id, points=points)
 
 
@@ -434,17 +420,15 @@ class DominanceReport:
 
 
 def verify_dominance(params: MaccParams, m_grid: Sequence[MemoryLike]) -> DominanceReport:
-    """Check the two dominance relations on a grid with exact comparison:
-    improved >= cutset (grid points above N/L are skipped for this check)
-    and cutset >= lemma3 (everywhere on [0, N])."""
+    """Check the two dominance relations on a strictly increasing grid with
+    exact comparison: improved >= cutset (grid points above N/L are skipped
+    for this check) and cutset >= lemma3 (everywhere on [0, N])."""
     from .serialize import fraction_str
 
-    grid = [_check_memory(params, m) for m in m_grid]
-    if not grid:
-        raise InputError("empty memory grid")
+    grid = _grid(params, m_grid)
     full_access = Fraction(params.N, params.L)
     names = ("improved_thm2", "cutset_thm1", "hkd2_lemma3")
-    curves = (_curve(FAMILIES[name], params, grid) for name in names)
+    curves = (_points(params, name, grid) for name in names)
     entries = tuple(
         DominanceEntry(m, improved.R, cutset.R, lemma3.R, m <= full_access)
         for m, improved, cutset, lemma3 in zip(grid, *curves)

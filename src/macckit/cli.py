@@ -149,10 +149,12 @@ def cmd_entropy_test(args: argparse.Namespace) -> int:
     if args.alphabet < 2:
         raise InputError(f"alphabet must be >= 2, got {args.alphabet}")
 
-    sliding = entropy.run_sliding_window_batch(
+    # conditional first: its K + 1 variables refuse an oversized alphabet
+    # before any pmf is drawn; each batch seeds its own RNG, so order is free
+    conditional = entropy.run_conditional_window_batch(
         args.K, args.alphabet, args.trials, args.seed, tol=args.tol
     )
-    conditional = entropy.run_conditional_window_batch(
+    sliding = entropy.run_sliding_window_batch(
         args.K, args.alphabet, args.trials, args.seed, tol=args.tol
     )
     if args.out is not None:

@@ -72,6 +72,7 @@ class JointPmf:
     @classmethod
     def independent_uniform(cls, alphabet_sizes: Sequence[int]) -> "JointPmf":
         sizes = tuple(int(a) for a in alphabet_sizes)
+        _check_sizes(sizes)  # before numpy allocates the table
         table = np.full(sizes, 1.0 / math.prod(sizes))
         return cls(alphabet_sizes=sizes, probs=table)
 

@@ -111,6 +111,8 @@ class FileLibrary:
     @classmethod
     def unit(cls, params: MaccParams, F: int, n: int, bit: int) -> "FileLibrary":
         """All-zero library except bit `bit` of file `n` (n is 1-based, bit 0-based)."""
+        if not (1 <= n <= params.N and 0 <= bit < F):
+            raise InputError(f"unit bit (n={n}, bit={bit}) outside [1, N] x [0, F)")
         files = [bytearray(F) for _ in range(params.N)]
         files[n - 1][bit] = 1
         return cls(params=params, F=F, files=tuple(bytes(f) for f in files))
@@ -259,12 +261,12 @@ class CodedPlacementScheme323(Scheme):
     def _unlock(cache: bytes, known_file: int, known_subfile: bytes, want_file: int) -> bytes:
         """Recover subfile of want_file from one known subfile and the two
         adjacent XORs stored in a cache (all at the same subfile index)."""
-        x12, x23 = split_bits(cache, 2)
-        delta = {(1, 2): x12, (2, 3): x23, (1, 3): xor_bits(x12, x23)}
         if known_file == want_file:
             return known_subfile
-        lo, hi = min(known_file, want_file), max(known_file, want_file)
-        return xor_bits(known_subfile, delta[(lo, hi)])
+        x12, x23 = split_bits(cache, 2)
+        pair = {known_file, want_file}
+        delta = x12 if pair == {1, 2} else x23 if pair == {2, 3} else xor_bits(x12, x23)
+        return xor_bits(known_subfile, delta)
 
     def decode(
         self, k: int, transmission: Transmission, window_caches: list[bytes], demand: Demand

@@ -184,9 +184,9 @@ class TestHkdLemma2Bound:
         params = MaccParams(10, 3, 10)
         for M in (F(0), F(1, 2), F(3)):
             capped = hkd_lemma2_bound(params, M)
-            wide = hkd_lemma2_bound(params, M, b_max=3 * params.N)
+            wide = brute_lemma2(params, M, b_max=3 * params.N)
             assert capped is not None and wide is not None
-            assert wide.R == capped.R  # larger b never helps on this instance
+            assert wide == capped.R  # larger b never helps on this instance
 
     def test_term_outside_set_rejected(self):
         with pytest.raises(ValueError):
@@ -231,6 +231,27 @@ class TestBestLowerBound:
         for M in (F(0), F(2, 3), F(5, 6), F(3)):
             point = best_lower_bound(P323, M)
             assert evaluate_witness(P323, "best", point.witness, M) == point.R
+
+    def test_registry_order_breaks_ties_between_families(self):
+        # at M = 0 three families tie at 3; the first in registry order wins
+        assert cutset_bound(P323, 0).R == improved_bound(P323, 0).R == 3
+        assert hkd2_lemma3_bound(P323, 0).R == 3
+        point = best_lower_bound(P323, 0)
+        assert point.R == 3
+        assert point.witness == {"family": "cutset_thm1", "s": 3}
+
+    def test_clamped_witness_key_order(self):
+        # at M = N all three families are -1; the tie and the clamp together
+        assert cutset_bound(P323, 3).R == improved_bound(P323, 3).R == -1
+        assert hkd2_lemma3_bound(P323, 3).R == -1
+        point = best_lower_bound(P323, 3)
+        assert point.R == 0
+        assert list(point.witness.items()) == [("family", "cutset_thm1"), ("s", 1), ("clamped", True)]
+
+    @pytest.mark.parametrize("witness", [{"s": 1}, {"family": "best", "s": 1}])
+    def test_malformed_witness_refused(self, witness):
+        with pytest.raises(bounds.InputError):
+            evaluate_witness(P323, "best", witness, 0)
 
 
 class TestSweepCurve:
@@ -278,6 +299,11 @@ class TestVerifyDominance:
         entry = report.entries[0]
         assert entry.improved == entry.cutset == min(P323.K, P323.N)
         assert report.ok
+
+    @pytest.mark.parametrize("grid", [[F(1), F(1)], [F(1), F(0)]])
+    def test_grid_must_be_strictly_increasing(self, grid):
+        with pytest.raises(bounds.InputError):
+            verify_dominance(P323, grid)
 
     def test_points_beyond_full_access_skip_lemma4(self):
         report = verify_dominance(P323, [F(0), F(3, 2), F(2)])

@@ -36,7 +36,7 @@ class TestBoundsCommand:
             "--format", "csv", "--out", str(out),
         )
         assert code == EXIT_OK
-        rows = list(csv.DictReader(out.open()))
+        rows = list(csv.DictReader(out.read_text().splitlines()))
         assert len(rows) == 302
         improved = {row["M"]: row["R"] for row in rows if row["family"] == "improved_thm2"}
         assert improved["1"] == "1/3"
@@ -51,7 +51,7 @@ class TestBoundsCommand:
             "--format", "csv", "--out", str(out),
         )
         assert code == EXIT_OK
-        improved = {row["M"]: row["R"] for row in csv.DictReader(out.open())}
+        improved = {row["M"]: row["R"] for row in csv.DictReader(out.read_text().splitlines())}
         assert improved["2/3"] == "1"
 
     def test_default_families_include_all(self, tmp_path):
@@ -61,7 +61,7 @@ class TestBoundsCommand:
             "--grid", "0:10/3:11", "--out", str(out),
         )
         assert code == EXIT_OK
-        families = {row["family"] for row in csv.DictReader(out.open())}
+        families = {row["family"] for row in csv.DictReader(out.read_text().splitlines())}
         assert families == {"cutset_thm1", "improved_thm2", "hkd_lemma2", "hkd2_lemma3", "best"}
 
     def test_figure_setting_20_5_20(self, tmp_path):
@@ -217,6 +217,16 @@ class TestEntropyCommand:
     def test_non_finite_tolerance_exit_2(self):
         for tol in ("nan", "inf"):
             assert run_cli("entropy-test", "--trials", "1", "--tol", tol) == EXIT_USAGE
+
+    def test_oversized_conditional_alphabet_refused_before_sliding_batch(self, monkeypatch):
+        # 2^16 outcomes fit MAX_OUTCOMES, but the conditional batch's 2^17 do not
+        import macckit.cli as cli
+
+        def drawn(*args, **kwargs):
+            raise RuntimeError("sliding batch ran before the refusal")
+
+        monkeypatch.setattr(cli.entropy, "check_sliding_window", drawn)
+        assert run_cli("entropy-test", "--K", "16", "--alphabet", "2", "--trials", "3") == EXIT_USAGE
 
     def test_deterministic_reports(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -228,3 +228,13 @@ class TestBatches:
         with pytest.raises(InputError, match="exceeds"):
             JointPmf.random((300,) * 3, rng)  # 27M outcomes, never allocated
         assert rng.bit_generator.state == state
+
+    def test_oversized_uniform_refused_before_allocating(self, monkeypatch):
+        import macckit.entropy as entropy
+
+        def allocated(*args, **kwargs):
+            raise RuntimeError("table allocated before the size check")
+
+        monkeypatch.setattr(entropy.np, "full", allocated)
+        with pytest.raises(InputError, match="exceeds"):
+            JointPmf.independent_uniform((2,) * 17)

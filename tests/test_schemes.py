@@ -18,6 +18,7 @@ from macckit import (
     scheme_zero_memory,
     verify_scheme,
 )
+from macckit.params import InputError
 from macckit.schemes import split_bits, xor_bits
 
 P323 = MaccParams(3, 2, 3)
@@ -237,6 +238,11 @@ class TestLinearity:
             for bit in range(12):
                 library = FileLibrary.unit(P323, 12, n, bit)
                 assert verify_scheme(scheme, library).passed, (n, bit)
+
+    @pytest.mark.parametrize("n,bit", [(0, 0), (4, 0), (1, -1), (1, 12)])
+    def test_unit_library_refuses_out_of_range(self, n, bit):
+        with pytest.raises(InputError):
+            FileLibrary.unit(P323, 12, n, bit)
 
     def test_random_libraries_many_seeds(self):
         rng = random.Random(99)
