@@ -203,7 +203,10 @@ def _terms(family: Family, params: MaccParams) -> Iterator[Term]:
 
 def _term_value(family: Family, params: MaccParams, M: MemoryLike, **witness: int) -> Fraction:
     m = as_memory(M)
-    intercept, slope = family.coeffs(params, **witness)
+    try:
+        intercept, slope = family.coeffs(params, **witness)
+    except TypeError as exc:  # a missing, unknown or extra witness key
+        raise InputError(f"witness {witness} does not fit {family.id}: {exc}") from exc
     return intercept - slope * m
 
 

@@ -53,8 +53,6 @@ def parse_families(spec: str) -> list[str]:
             )
         if family not in families:
             families.append(family)
-    if not families:
-        raise InputError("empty family list")
     return families
 
 

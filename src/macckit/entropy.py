@@ -22,11 +22,14 @@ NORMALIZATION_TOL = 1e-12
 MAX_OUTCOMES = 1 << 16
 
 
-def _check_sizes(sizes: tuple[int, ...]) -> None:
+def _sizes(alphabet_sizes: Sequence[int]) -> tuple[int, ...]:
+    """The alphabet sizes as ints, checked before any table is allocated."""
+    sizes = tuple(int(a) for a in alphabet_sizes)
     if not sizes or any(a < 1 for a in sizes):
         raise InputError(f"alphabet sizes must be positive: {sizes}")
     if math.prod(sizes) > MAX_OUTCOMES:
         raise InputError(f"product alphabet exceeds {MAX_OUTCOMES} outcomes")
+    return sizes
 
 
 @dataclass(frozen=True)
@@ -41,9 +44,8 @@ class JointPmf:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        sizes = tuple(int(a) for a in self.alphabet_sizes)
+        sizes = _sizes(self.alphabet_sizes)
         object.__setattr__(self, "alphabet_sizes", sizes)
-        _check_sizes(sizes)
         probs = np.asarray(self.probs, dtype=np.float64)
         if probs.shape != sizes:
             raise InputError(f"probs shape {probs.shape} != alphabet sizes {sizes}")
@@ -64,15 +66,13 @@ class JointPmf:
     def random(cls, alphabet_sizes: Sequence[int], rng: np.random.Generator) -> "JointPmf":
         """Uniform draw from the probability simplex (normalized exponentials),
         so the support is full and 0*log(0) corners do not arise."""
-        sizes = tuple(int(a) for a in alphabet_sizes)
-        _check_sizes(sizes)  # before numpy allocates the table
+        sizes = _sizes(alphabet_sizes)
         table = rng.exponential(size=sizes)
         return cls(alphabet_sizes=sizes, probs=table / table.sum())
 
     @classmethod
     def independent_uniform(cls, alphabet_sizes: Sequence[int]) -> "JointPmf":
-        sizes = tuple(int(a) for a in alphabet_sizes)
-        _check_sizes(sizes)  # before numpy allocates the table
+        sizes = _sizes(alphabet_sizes)
         table = np.full(sizes, 1.0 / math.prod(sizes))
         return cls(alphabet_sizes=sizes, probs=table)
 
@@ -118,11 +118,8 @@ class WindowCheckReport:
     """
 
     K: int
-    alphabet_sizes: tuple[int, ...]
-    seed: int | None
     sequence: tuple[float, ...]
     margins: tuple[float, ...]
-    tol: float
     failures: tuple[dict, ...]
 
     @property
@@ -133,16 +130,6 @@ class WindowCheckReport:
     def min_margin(self) -> float:
         return min(self.margins) if self.margins else math.inf
 
-    def to_dict(self) -> dict:
-        return {
-            "K": self.K,
-            "alphabets": list(self.alphabet_sizes),
-            "seed": self.seed,
-            "sequence": list(self.sequence),
-            "min_margin": self.min_margin,
-            "failures": list(self.failures),
-        }
-
 
 def _check_tol(tol: float) -> None:
     # a NaN tolerance would compare False against every margin and pass all checks
@@ -150,35 +137,28 @@ def _check_tol(tol: float) -> None:
         raise InputError(f"tolerance must be finite and positive, got {tol}")
 
 
-def _window_report(
-    K: int, pmf: JointPmf, seed: int | None, sequence: list, against: list, tol: float
-) -> WindowCheckReport:
+def _window_report(K: int, sequence: list, against: list, tol: float) -> WindowCheckReport:
     """Margins sequence[i] - against[i], failing where one is below -tol;
     failure s is the 1-based window length of the margin."""
     margins = tuple(a - b for a, b in zip(sequence, against))
     return WindowCheckReport(
         K=K,
-        alphabet_sizes=pmf.alphabet_sizes,
-        seed=seed,
         sequence=tuple(sequence),
         margins=margins,
-        tol=tol,
         failures=tuple(
             {"s": s, "margin": margin} for s, margin in enumerate(margins, 1) if margin < -tol
         ),
     )
 
 
-def check_sliding_window(
-    pmf: JointPmf, tol: float = DEFAULT_TOL, seed: int | None = None
-) -> WindowCheckReport:
+def check_sliding_window(pmf: JointPmf, tol: float = DEFAULT_TOL) -> WindowCheckReport:
     """Verify the window averages are non-increasing in window length."""
     _check_tol(tol)
     if pmf.K < 2:
         # one variable has no pair of window lengths to compare
         raise InputError("need at least two variables")
     sequence = [window_entropy_sum(pmf, s) for s in range(1, pmf.K + 1)]
-    return _window_report(pmf.K, pmf, seed, sequence, sequence[1:], tol)
+    return _window_report(pmf.K, sequence, sequence[1:], tol)
 
 
 def _conditional_window_sequence(pmf: JointPmf) -> list[float]:
@@ -199,9 +179,7 @@ def _conditional_window_sequence(pmf: JointPmf) -> list[float]:
     return [float(x) for x in sequence]
 
 
-def check_conditional_window(
-    pmf: JointPmf, tol: float = DEFAULT_TOL, seed: int | None = None
-) -> WindowCheckReport:
+def check_conditional_window(pmf: JointPmf, tol: float = DEFAULT_TOL) -> WindowCheckReport:
     """Verify the conditional form on a pmf whose last variable conditions
     the rest: every scaled conditional window average dominates the full-set
     conditional entropy."""
@@ -210,7 +188,7 @@ def check_conditional_window(
         raise InputError("need at least one conditioned variable plus the conditioner")
     sequence = _conditional_window_sequence(pmf)
     # every full-length window is the whole set
-    return _window_report(pmf.K - 1, pmf, seed, sequence, [sequence[-1]] * len(sequence), tol)
+    return _window_report(pmf.K - 1, sequence, [sequence[-1]] * len(sequence), tol)
 
 
 @dataclass(frozen=True)

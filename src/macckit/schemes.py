@@ -92,6 +92,8 @@ class FileLibrary:
 
     def file(self, n: int) -> bytes:
         """File n, 1-based."""
+        if not 1 <= n <= self.params.N:
+            raise InputError(f"file index n={n} outside [1, N={self.params.N}]")
         return self.files[n - 1]
 
     @classmethod
@@ -139,6 +141,8 @@ class CacheContents:
 
     def cache(self, i: int) -> bytes:
         """Cache i, 1-based."""
+        if not 1 <= i <= self.params.K:
+            raise InputError(f"cache index i={i} outside [1, K={self.params.K}]")
         return self.caches[i - 1]
 
 
@@ -365,9 +369,8 @@ def scheme_appendix_b() -> Scheme:
     return CodedPlacementScheme323()
 
 
-def scheme_zero_memory(params: MaccParams) -> Scheme:
-    """The trivial scheme achieving (0, min(K, N)) on any network; params
-    is accepted for interface symmetry and not needed."""
+def scheme_zero_memory() -> Scheme:
+    """The trivial scheme achieving (0, min(K, N)) on any network."""
     return ZeroMemoryScheme()
 
 
@@ -453,7 +456,7 @@ def verify_scheme(
         ok = True
         for k, window in enumerate(windows, start=1):
             decoded = scheme.decode(k, transmission, window, demand)
-            if decoded != library.file(demand[k - 1]):
+            if decoded != library.files[demand[k - 1] - 1]:  # demands are in range
                 ok = False
                 failures.append((demand, k))
         per_demand.append(DemandOutcome(demand=demand, rate=transmission.rate, passed=ok))

@@ -76,7 +76,7 @@ def curves_json_payload(curves: Sequence[BoundCurve]) -> dict:
             "points": curve_rows(curve),
         }
         if curve.bound_id in FAMILIES:
-            # default search caps; raise them via the API if needed
+            # the fixed search caps the curve was computed under
             entry.update(FAMILIES[curve.bound_id].caps(curve.params))
         payload["curves"].append(entry)
     return payload

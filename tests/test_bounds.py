@@ -108,6 +108,12 @@ class TestCutsetBound:
     def test_float_memory_rejected(self):
         with pytest.raises(TypeError):
             cutset_bound(P323, 0.5)
+        with pytest.raises(TypeError):
+            evaluate_witness(P323, "cutset_thm1", {"s": 1}, 0.5)
+
+    def test_term_outside_space_rejected(self):
+        with pytest.raises(bounds.InputError):
+            cutset_term(P323, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +259,18 @@ class TestBestLowerBound:
         with pytest.raises(bounds.InputError):
             evaluate_witness(P323, "best", witness, 0)
 
+    @pytest.mark.parametrize(
+        "bound_id,witness",
+        [
+            ("cutset_thm1", {"s": 1, "l": 1}),
+            ("improved_thm2", {"s": 1}),
+            ("best", {"family": "cutset_thm1", "t": 1}),
+        ],
+    )
+    def test_witness_keys_must_fit_the_family(self, bound_id, witness):
+        with pytest.raises(bounds.InputError, match="cutset_thm1|improved_thm2"):
+            evaluate_witness(P323, bound_id, witness, 0)
+
 
 class TestSweepCurve:
     def test_improved_key_points(self):
@@ -282,6 +300,8 @@ class TestSweepCurve:
             sweep_curve(P323, "best", [F(1), F(1)])
         with pytest.raises(ValueError):
             sweep_curve(P323, "nope", [F(0), F(1)])
+        with pytest.raises(ValueError):
+            uniform_grid(1, 1, 5)
 
 
 class TestVerifyDominance:

@@ -261,12 +261,14 @@ class TestParsers:
 #: catches it (CLI, params, bounds, schemes or entropy).
 REFUSED = [
     ("bounds", "--K", "3", "--L", "2", "--N", "3", "--grid=-1:1:5"),
+    ("bounds", "--K", "3", "--L", "2", "--N", "3", "--families", ""),
     ("compare", "--K", "3", "--L", "2", "--N", "3", "--grid", "0:4:5"),
     ("simulate", "--scheme", "zero-memory", "--F", "0"),
     ("entropy-test", "--seed", "-1", "--trials", "2"),
     ("entropy-test", "--K", "20", "--alphabet", "2", "--trials", "1"),
     ("entropy-test", "--tol", "-1", "--trials", "1"),
     ("entropy-test", "--K", "1"),
+    ("entropy-test", "--alphabet", "1"),
 ]
 
 

@@ -41,6 +41,8 @@ class TestJointPmf:
             JointPmf((2, 3), np.full((2, 2), 0.25))
         with pytest.raises(ValueError):
             JointPmf((2,) * 17, np.zeros((2,) * 17))  # 2^17 outcomes
+        with pytest.raises(ValueError):
+            JointPmf((2, 0), np.zeros((2, 0)))
 
     def test_table_is_frozen(self):
         pmf = JointPmf.independent_uniform((2, 2))
@@ -142,12 +144,6 @@ class TestSlidingWindowCheck:
         assert report.passed
         assert all(abs(m) < 1e-12 for m in report.margins)
 
-    def test_report_dict_keys(self):
-        report = check_sliding_window(JointPmf.independent_uniform((2, 2)), seed=9)
-        payload = report.to_dict()
-        assert set(payload) == {"K", "alphabets", "seed", "sequence", "min_margin", "failures"}
-        assert payload["K"] == 2 and payload["seed"] == 9
-
     def test_needs_two_variables(self):
         # one variable has no adjacent window lengths: nothing would be checked
         with pytest.raises(ValueError):
@@ -174,6 +170,14 @@ class TestConditionalWindowCheck:
         unconditional = check_sliding_window(base)
         assert conditional.sequence == pytest.approx(unconditional.sequence, abs=1e-12)
         assert conditional.passed
+
+    def test_zero_probability_conditioner_value_is_skipped(self):
+        # dyadic probabilities sum to exactly 1, so the weight-1 slice is the base
+        base = JointPmf((2, 2, 2), np.array([16, 4, 4, 2, 2, 2, 1, 1]).reshape(2, 2, 2) / 32)
+        table = np.zeros((2, 2, 2, 2))
+        table[..., 0] = base.probs  # the conditioner's value 1 has probability 0
+        conditional = check_conditional_window(JointPmf((2, 2, 2, 2), table))
+        assert conditional.sequence == check_sliding_window(base).sequence
 
     def test_variables_equal_to_conditioner_give_zero_chain(self):
         # Z_k all equal to W: conditional entropies vanish, equality holds

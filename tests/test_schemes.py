@@ -40,6 +40,10 @@ class TestCyclicIndexing:
         with pytest.raises(ValueError):
             access_window(4, P323)
 
+    def test_cyclic_index_needs_positive_K(self):
+        with pytest.raises(InputError):
+            cyclic_index(1, 0)
+
 
 class TestBitHelpers:
     def test_xor_and_split(self):
@@ -58,6 +62,33 @@ class TestBitHelpers:
             FileLibrary(P323, 4, (bytes(4), bytes(4), bytes(3)))
         with pytest.raises(ValueError):
             FileLibrary(P323, 2, (bytes([2, 0]), bytes(2), bytes(2)))
+
+    @pytest.mark.parametrize("index", [0, 4])
+    def test_file_and_cache_indices_refused(self, index):
+        # K = N = 3: index 0 would wrap to the last entry
+        library = FileLibrary.random(P323, 12, seed=11)
+        caches = scheme_appendix_b().place(library)
+        with pytest.raises(InputError):
+            library.file(index)
+        with pytest.raises(InputError):
+            caches.cache(index)
+
+    @pytest.mark.parametrize(
+        "caches,M,error",
+        [
+            ((bytes(8),) * 2, F(2, 3), InputError),  # two caches for K = 3
+            ((bytes(8),) * 3, F(1, 5), SubpacketizationError),  # M*F = 12/5
+            ((bytes(8), bytes(8), bytes(7)), F(2, 3), InputError),
+        ],
+    )
+    def test_cache_contents_validation(self, caches, M, error):
+        with pytest.raises(error):
+            CacheContents(params=P323, M=M, F=12, caches=caches)
+
+    @pytest.mark.parametrize("demand", [(1, 2), (1, 2, 4)])
+    def test_deliver_refuses_bad_demand(self, demand):
+        with pytest.raises(InputError):
+            scheme_appendix_b().deliver(FileLibrary.random(P323, 12, seed=11), demand)
 
 
 class TestCodedPlacement323:
@@ -102,7 +133,7 @@ class TestCodedPlacement323:
 
 class TestZeroMemory:
     def test_distinct_demand_rates(self):
-        scheme = scheme_zero_memory(P323)
+        scheme = scheme_zero_memory()
         library = FileLibrary.random(P323, 12, seed=5)
         assert scheme.deliver(library, (1, 2, 3)).rate == 3
         assert scheme.deliver(library, (2, 2, 2)).rate == 1
@@ -110,14 +141,14 @@ class TestZeroMemory:
     def test_worst_case_rate_is_min_K_N(self):
         params = MaccParams(5, 2, 3)
         library = FileLibrary.random(params, 12, seed=5)
-        scheme = scheme_zero_memory(params)
+        scheme = scheme_zero_memory()
         assert scheme.deliver(library, (1, 2, 3, 1, 2)).rate == 3
         report = verify_scheme(scheme, library)
         assert report.passed
         assert report.worst_case_rate == min(params.K, params.N)
 
     def test_caches_are_empty(self):
-        caches = scheme_zero_memory(P323).place(FileLibrary.random(P323, 8, seed=1))
+        caches = scheme_zero_memory().place(FileLibrary.random(P323, 8, seed=1))
         assert all(z == b"" for z in caches.caches)
 
 
@@ -205,7 +236,7 @@ class TestVerifyScheme:
                 )
 
     def test_rate_accounting(self):
-        scheme = scheme_zero_memory(P323)
+        scheme = scheme_zero_memory()
         library = FileLibrary.random(P323, 12, seed=6)
         for demand in all_demand_vectors(P323):
             transmission = scheme.deliver(library, demand)
