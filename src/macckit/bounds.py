@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 from .params import InputError, MaccParams
 
@@ -39,13 +39,6 @@ def as_memory(M: MemoryLike) -> Fraction:
     if isinstance(M, float):
         raise TypeError("memory must be exact; pass an int, Fraction, or string like '2/3'")
     return Fraction(M)
-
-
-def _check_memory(params: MaccParams, M: MemoryLike) -> Fraction:
-    m = as_memory(M)
-    if not 0 <= m <= params.N:
-        raise InputError(f"memory M={m} outside [0, N={params.N}]")
-    return m
 
 
 @dataclass(frozen=True)
@@ -70,18 +63,16 @@ class BoundCurve:
 Term = tuple[dict, Fraction, Fraction]  # (witness, intercept, slope)
 
 
-def _maximize(terms: Iterable[Term], M: Fraction) -> BoundPoint | None:
-    """Maximum of intercept - slope * M over the terms, None if there are
-    none.  The first maximizer in iteration order wins, which realizes the
-    smallest-parameter tie-breaking rule."""
-    best: dict | None = None
-    best_value = Fraction(0)
-    for witness, intercept, slope in terms:
+def _maximize(terms: Sequence[Term], M: Fraction) -> BoundPoint:
+    """Maximum of intercept - slope * M over a non-empty term list.  The
+    first maximizer in list order wins, which realizes the smallest-parameter
+    tie-breaking rule."""
+    best, intercept, slope = terms[0]
+    best_value = intercept - slope * M
+    for witness, intercept, slope in terms[1:]:
         value = intercept - slope * M
-        if best is None or value > best_value:
+        if value > best_value:
             best, best_value = witness, value
-    if best is None:
-        return None
     return BoundPoint(M=M, R=best_value, witness=dict(best))
 
 
@@ -230,7 +221,7 @@ def _points(params: MaccParams, bound_id: str, grid: Sequence[Fraction]) -> tupl
 
 
 def _bound(params: MaccParams, bound_id: str, M: MemoryLike) -> BoundPoint | None:
-    points = _points(params, bound_id, [_check_memory(params, M)])
+    points = _points(params, bound_id, _grid(params, [M]))
     return points[0] if points else None
 
 
@@ -339,14 +330,17 @@ def uniform_grid(start: MemoryLike, stop: MemoryLike, count: int) -> list[Fracti
     return [lo + i * step for i in range(count)]
 
 
-def default_memory_grid(params: MaccParams, count: int = 101) -> list[Fraction]:
-    """Default sweep grid: uniform on [0, N/L]."""
-    return uniform_grid(0, Fraction(params.N, params.L), count)
+def default_memory_grid(params: MaccParams) -> list[Fraction]:
+    """Default sweep grid: 101 points uniform on [0, N/L]."""
+    return uniform_grid(0, Fraction(params.N, params.L), 101)
 
 
 def _grid(params: MaccParams, m_grid: Sequence[MemoryLike]) -> list[Fraction]:
     """The grid as exact memories: non-empty, strictly increasing, in [0, N]."""
-    grid = [_check_memory(params, m) for m in m_grid]
+    grid = [as_memory(m) for m in m_grid]
+    for m in grid:
+        if not 0 <= m <= params.N:
+            raise InputError(f"memory M={m} outside [0, N={params.N}]")
     if not grid:
         raise InputError("empty memory grid")
     if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -371,7 +365,7 @@ def sweep_curve(params: MaccParams, bound_id: str, m_grid: Sequence[MemoryLike])
 
 @dataclass(frozen=True)
 class DominanceEntry:
-    """Exact family values at one grid point, with dominance margins."""
+    """Exact family values at one grid point."""
 
     M: Fraction
     improved: Fraction
@@ -379,14 +373,6 @@ class DominanceEntry:
     lemma3: Fraction
     #: improved >= cutset is only claimed on [0, N/L]
     improved_vs_cutset_checked: bool
-
-    @property
-    def improved_margin(self) -> Fraction:
-        return self.improved - self.cutset
-
-    @property
-    def cutset_margin(self) -> Fraction:
-        return self.cutset - self.lemma3
 
 
 @dataclass(frozen=True)
@@ -413,8 +399,8 @@ class DominanceReport:
                     "cutset_thm1": fraction_str(e.cutset),
                     "hkd2_lemma3": fraction_str(e.lemma3),
                     "improved_vs_cutset_checked": e.improved_vs_cutset_checked,
-                    "improved_margin": fraction_str(e.improved_margin),
-                    "cutset_margin": fraction_str(e.cutset_margin),
+                    "improved_margin": fraction_str(e.improved - e.cutset),
+                    "cutset_margin": fraction_str(e.cutset - e.lemma3),
                 }
                 for e in self.entries
             ],

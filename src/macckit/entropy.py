@@ -52,7 +52,7 @@ class JointPmf:
         if (probs < 0).any():
             raise InputError("probabilities must be non-negative")
         total = float(probs.sum())
-        if abs(total - 1.0) > NORMALIZATION_TOL:
+        if not abs(total - 1.0) <= NORMALIZATION_TOL:
             raise InputError(f"probabilities sum to {total!r}, not 1")
         probs = probs.copy()
         probs.setflags(write=False)
@@ -128,7 +128,7 @@ class WindowCheckReport:
 
     @property
     def min_margin(self) -> float:
-        return min(self.margins) if self.margins else math.inf
+        return min(self.margins)
 
 
 def _check_tol(tol: float) -> None:

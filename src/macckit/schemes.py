@@ -188,12 +188,8 @@ class Scheme(abc.ABC):
     #: the one network the scheme is defined for; None means every network
     network: MaccParams | None = None
 
-    def admissible(self, params: MaccParams) -> bool:
-        """Whether this scheme is defined for the given network."""
-        return self.network in (None, params)
-
     def check_library(self, library: FileLibrary) -> None:
-        if not self.admissible(library.params):
+        if self.network not in (None, library.params):
             raise InputError(f"scheme {self.id!r} is not defined for {library.params}")
         if library.F % self.subpacketization != 0:
             raise SubpacketizationError(

@@ -24,10 +24,6 @@ def fraction_str(x: Fraction) -> str:
     return str(x)
 
 
-def parse_fraction(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def decimal_str(x: Fraction) -> str:
     """12-significant-digit decimal approximation."""
     return f"{float(x):.12g}"
@@ -67,7 +63,7 @@ def write_curves_csv(stream: IO[str], curves: Sequence[BoundCurve]) -> None:
         writer.writerows(curve_rows(curve))
 
 
-def curves_json_payload(curves: Sequence[BoundCurve]) -> dict:
+def write_curves_json(stream: IO[str], curves: Sequence[BoundCurve]) -> None:
     payload: dict = {"curves": []}
     for curve in curves:
         entry = {
@@ -79,11 +75,7 @@ def curves_json_payload(curves: Sequence[BoundCurve]) -> dict:
             # the fixed search caps the curve was computed under
             entry.update(FAMILIES[curve.bound_id].caps(curve.params))
         payload["curves"].append(entry)
-    return payload
-
-
-def write_curves_json(stream: IO[str], curves: Sequence[BoundCurve]) -> None:
-    json.dump(curves_json_payload(curves), stream, indent=2)
+    json.dump(payload, stream, indent=2)
     stream.write("\n")
 
 

@@ -27,6 +27,7 @@ from macckit.bounds import (
     cutset_term,
     evaluate_bound,
     evaluate_witness,
+    hkd2_lemma3_term,
     hkd_lemma2_term,
     improved_term,
 )
@@ -204,9 +205,9 @@ class TestHkd2Lemma3Bound:
         point = hkd2_lemma3_bound(P323, F(2, 3))
         assert point.R == F(5, 9)
         assert point.witness == {"s": 1}
-        # losing terms: s=3 -> 1/3, s=2 -> 0
-        assert 3 - F(4) * F(2, 3) / 1 == F(1, 3)
-        assert 2 - F(3) * F(2, 3) / 1 == 0
+        # losing terms: s=3 -> 3 - 4 * (2/3) / 1 = 1/3, s=2 -> 2 - 3 * (2/3) / 1 = 0
+        assert hkd2_lemma3_term(P323, 3, F(2, 3)) == F(1, 3)
+        assert hkd2_lemma3_term(P323, 2, F(2, 3)) == 0
 
     def test_coincides_with_cutset_at_zero(self):
         assert hkd2_lemma3_bound(P323, 0).R == cutset_bound(P323, 0).R == 3
@@ -363,7 +364,7 @@ def test_single_point_evaluation_matches_sweep():
         for L in range(1, K + 1):
             for N in range(1, 9):
                 params = MaccParams(K, L, N)
-                grid = default_memory_grid(params, 9)
+                grid = uniform_grid(0, F(N, L), 9)
                 for bound_id in FAMILY_IDS:
                     curve = sweep_curve(params, bound_id, grid)
                     points = [evaluate_bound(params, bound_id, m) for m in grid]

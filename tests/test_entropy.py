@@ -44,6 +44,16 @@ class TestJointPmf:
         with pytest.raises(ValueError):
             JointPmf((2, 0), np.zeros((2, 0)))
 
+    def test_rejects_nan_tables(self):
+        # NaN compares False against both the sign and the sum check
+        for shape, table in (
+            ((2,), [math.nan, math.nan]),
+            ((2,), [math.nan, 1.0]),
+            ((2, 2), np.full((2, 2), math.nan)),
+        ):
+            with pytest.raises(InputError, match="sum to nan"):
+                JointPmf(shape, np.array(table))
+
     def test_table_is_frozen(self):
         pmf = JointPmf.independent_uniform((2, 2))
         with pytest.raises(ValueError):

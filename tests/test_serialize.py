@@ -15,7 +15,6 @@ from macckit.serialize import (
     curve_rows,
     decimal_str,
     fraction_str,
-    parse_fraction,
     witness_str,
     write_achievable_points_csv,
     write_curves_csv,
@@ -29,7 +28,7 @@ P323 = MaccParams(3, 2, 3)
 @settings(max_examples=300, deadline=None)
 @given(st.fractions(max_denominator=10**9))
 def test_fraction_string_round_trip(x):
-    assert parse_fraction(fraction_str(x)) == x
+    assert F(fraction_str(x)) == x
 
 
 def test_fraction_formats():
@@ -68,7 +67,7 @@ def test_csv_schema_and_round_trip():
     rows = list(reader)
     assert len(rows) == 14
     for row in rows:
-        m, r = parse_fraction(row["M"]), parse_fraction(row["R"])
+        m, r = F(row["M"]), F(row["R"])
         assert fraction_str(m) == row["M"] and fraction_str(r) == row["R"]
         assert abs(float(m) - float(row["M_decimal"])) < 1e-9
 
