@@ -122,11 +122,22 @@ def _improved_coeffs(params: MaccParams, s: int, l: int) -> tuple[Fraction, Frac
 
 
 def _lemma2_space(params: MaccParams, b_cap: int) -> Iterator[dict]:
-    half = params.K // 2
-    for s in range(1, half + 1):
-        for t in range(-(-params.L // s), half // s + 1):
-            for b in range(1, b_cap + 1):
-                yield {"s": s, "t": t, "b": b}
+    # Only b in {1, floor(N/(cs)), ceil(N/(cs)), b_cap} can be the first
+    # maximum for one (s, t), where c = st - L + 1 and d = lam_den:
+    # * b <= N/(cs): the term is c/d - (t/b)M.  All tie at M = 0, where b = 1
+    #   comes first; for M > 0 the largest such b, floor(N/(cs)), wins.
+    # * b >= N/(cs): the term is (N/(sd) - tM)/b.  If the numerator is
+    #   positive the smallest such b, ceil(N/(cs)), wins; if it is negative
+    #   b = b_cap wins; if it is zero all tie and ceil(N/(cs)) comes first.
+    # The first maximum within the family is then kept, and so is the first
+    # maximum of best, which keeps each family's order.
+    K, L, N = params.K, params.L, params.N
+    for s in range(1, K // 2 + 1):
+        for t in range(-(-L // s), K // 2 // s + 1):
+            cs = (s * t - L + 1) * s
+            for b in sorted({1, N // cs, -(-N // cs), b_cap}):
+                if 1 <= b <= b_cap:
+                    yield {"s": s, "t": t, "b": b}
 
 
 def _lemma2_coeffs(params: MaccParams, s: int, t: int, b: int) -> tuple[Fraction, Fraction]:
@@ -144,7 +155,8 @@ class Family:
 
     id: str
     aliases: tuple[str, ...]
-    #: space(params, **caps(params)) yields witnesses in tie-break order
+    #: space(params, **caps(params)) yields, in tie-break order, a subset of
+    #: the witness space that holds the first maximizer at every M
     space: Callable[..., Iterator[dict]]
     #: coeffs(params, **witness) -> (intercept, slope)
     coeffs: Callable[..., tuple[Fraction, Fraction]]
@@ -276,10 +288,15 @@ def hkd_lemma2_bound(params: MaccParams, M: MemoryLike) -> BoundPoint | None:
     """Prior window-counting bound, maximized over its (s, t, b) set.
 
     Returns None when the parameter set is empty, i.e. L > floor(K/2).
-    b ranges over [1, N] (the JSON ``b_cap``).  A non-negative maximum is
-    reached with b <= N, so the value clamped at zero does not depend on the
-    cap.  A negative maximum does: larger b would move it toward zero (on
-    (20, 5, 20) at M = 10 it is -3/10 with b <= 20 and -3/100 with b <= 200).
+    The maximum is over b in [1, N] (the JSON ``b_cap``), but for each (s, t)
+    the search visits only b in {1, floor(N/(cs)), ceil(N/(cs)), N}, with
+    c = st - L + 1: up to N/(cs) the term never falls as b grows, and from
+    there on it is one numerator over b, so no other b can be the first
+    maximum (see _lemma2_space).  R and witness equal those of the full set.
+    A non-negative maximum is reached with b <= N, so the value clamped at
+    zero does not depend on the cap.  A negative maximum does: larger b would
+    move it toward zero (on (20, 5, 20) at M = 10 it is -3/10 with b <= 20 and
+    -3/100 with b <= 200).
     """
     return _bound(params, "hkd_lemma2", M)
 

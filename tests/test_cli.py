@@ -322,6 +322,8 @@ GOLDEN_OUTPUTS = [
      "7d505c07f0dbb310d88694b2a2d6d441d8788b2aeeaef9b8990b26e8327152d1"),
     (("bounds", "--K", "10", "--L", "3", "--N", "10", "--format", "json"),
      "82135e0dd5c99f49a8d55d378d8e8ec6d7c9c2ab525f0e69a857123be2bfd193"),
+    (("bounds", "--K", "100", "--L", "10", "--N", "100", "--format", "json"),
+     "3bf5f94cce064c9ef0ddd565f774f3ee516f8b4697241b72156c3f4554f4692f"),
     (("compare", "--K", "10", "--L", "7", "--N", "10"),
      "f911e8c4f199f923ff8980d9048e5d0f7fd7863354331be1518ce7a3b1677a4b"),
     (("simulate", "--scheme", "appendix-b", "--seed", "7"),
