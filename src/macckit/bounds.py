@@ -21,11 +21,12 @@ the four families is defined by one entry of ``FAMILIES``:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence, Union
 
 from .params import InputError, MaccParams
+from .serialize import fraction_str
 
 Rational = Fraction
 MemoryLike = Union[int, str, Fraction]
@@ -53,11 +54,13 @@ class BoundPoint:
 
 @dataclass(frozen=True)
 class BoundCurve:
-    """A bound family sampled on a memory grid (the data behind a plot)."""
+    """A bound family sampled on a memory grid (the data behind a plot), with
+    the family's search caps the points were computed under ({} for best)."""
 
     params: MaccParams
     bound_id: str
     points: tuple[BoundPoint, ...]
+    caps: dict
 
 
 Term = tuple[dict, Fraction, Fraction]  # (witness, intercept, slope)
@@ -160,7 +163,7 @@ class Family:
     space: Callable[..., Iterator[dict]]
     #: coeffs(params, **witness) -> (intercept, slope)
     coeffs: Callable[..., tuple[Fraction, Fraction]]
-    #: search caps, also written to JSON curve files
+    #: search caps, passed to space; sweep_curve keeps them as BoundCurve.caps
     caps: Callable[[MaccParams], dict] = lambda params: {}
     #: why the space is empty, for families where it can be
     empty_note: Callable[[MaccParams], str] | None = None
@@ -372,7 +375,8 @@ def sweep_curve(params: MaccParams, bound_id: str, m_grid: Sequence[MemoryLike])
     points are clamped.  An inapplicable family yields a curve with no points.
     """
     points = _points(params, bound_id, _grid(params, m_grid))
-    return BoundCurve(params=params, bound_id=bound_id, points=points)
+    caps = {} if bound_id == BEST else FAMILIES[bound_id].caps(params)
+    return BoundCurve(params=params, bound_id=bound_id, points=points, caps=caps)
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +409,8 @@ class DominanceReport:
         return not self.violations
 
     def to_dict(self) -> dict:
-        from .serialize import fraction_str
-
         return {
-            "params": {"K": self.params.K, "L": self.params.L, "N": self.params.N},
+            "params": asdict(self.params),
             "points": [
                 {
                     "M": fraction_str(e.M),
@@ -429,8 +431,6 @@ def verify_dominance(params: MaccParams, m_grid: Sequence[MemoryLike]) -> Domina
     """Check the two dominance relations on a strictly increasing grid with
     exact comparison: improved >= cutset (grid points above N/L are skipped
     for this check) and cutset >= lemma3 (everywhere on [0, N])."""
-    from .serialize import fraction_str
-
     grid = _grid(params, m_grid)
     full_access = Fraction(params.N, params.L)
     names = ("improved_thm2", "cutset_thm1", "hkd2_lemma3")

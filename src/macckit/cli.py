@@ -142,11 +142,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_entropy_test(args: argparse.Namespace) -> int:
-    if args.K < 2:
-        raise InputError(f"K must be >= 2, got {args.K}")
-    if args.alphabet < 2:
-        raise InputError(f"alphabet must be >= 2, got {args.alphabet}")
-
     # conditional first: its K + 1 variables refuse an oversized alphabet
     # before any pmf is drawn; each batch seeds its own RNG, so order is free
     conditional = entropy.run_conditional_window_batch(

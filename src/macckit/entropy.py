@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .params import InputError
+from .params import InputError, cyclic_index
 
 DEFAULT_TOL = 1e-9
 NORMALIZATION_TOL = 1e-12
@@ -95,16 +95,12 @@ def marginal_entropy(pmf: JointPmf, subset: Sequence[int]) -> float:
     return _entropy(marginal)
 
 
-def _window(start: int, length: int, K: int) -> list[int]:
-    return [(start - 1 + j) % K + 1 for j in range(length)]
-
-
 def window_entropy_sum(pmf: JointPmf, s: int) -> float:
     """(1/s) * sum over i of H(cyclic window of length s starting at i)."""
     if not 1 <= s <= pmf.K:
         raise InputError(f"window length s={s} outside [1, K={pmf.K}]")
-    total = sum(marginal_entropy(pmf, _window(i, s, pmf.K)) for i in range(1, pmf.K + 1))
-    return total / s
+    windows = ([cyclic_index(i + j, pmf.K) for j in range(s)] for i in range(1, pmf.K + 1))
+    return sum(marginal_entropy(pmf, window) for window in windows) / s
 
 
 @dataclass(frozen=True)
@@ -221,25 +217,29 @@ class BatchReport:
         }
 
 
-def _batch(
-    kind: str, check, variables: int, alphabet: int, trials: int, seed: int, tol: float
-) -> BatchReport:
-    """trials random pmfs over `variables` variables, each run through check;
-    one RNG stream keyed by seed makes the batch reproducible."""
+def _batch(kind: str, check, K: int, alphabet: int, trials: int, seed: int, tol: float) -> BatchReport:
+    """trials random pmfs over K variables (plus the conditioner if
+    conditional), each run through check; one RNG stream keyed by seed makes
+    the batch reproducible.  K or alphabet below 2 could only pass: refused."""
+    if K < 2:
+        raise InputError(f"K must be >= 2, got {K}")
+    if alphabet < 2:
+        raise InputError(f"alphabet must be >= 2, got {alphabet}")
     if trials < 1:
         raise InputError(f"trials must be >= 1, got {trials}")
     if seed < 0:
         raise InputError(f"seed must be >= 0, got {seed}")
+    sizes = (alphabet,) * (K + 1 if kind == "conditional" else K)
     rng = np.random.default_rng(seed)
     min_margin = math.inf
     failures = []
     for trial in range(trials):
-        report = check(JointPmf.random((alphabet,) * variables, rng), tol=tol)
+        report = check(JointPmf.random(sizes, rng), tol=tol)
         min_margin = min(min_margin, report.min_margin)
         failures.extend({"trial": trial, **failure} for failure in report.failures)
     return BatchReport(
         kind=kind,
-        K=report.K,  # the same for every pmf of the batch
+        K=K,
         alphabet=alphabet,
         seed=seed,
         trials=trials,
@@ -262,4 +262,4 @@ def run_conditional_window_batch(
 ) -> BatchReport:
     """trials random pmfs over K variables plus one conditioner, checked
     against the conditional inequality."""
-    return _batch("conditional", check_conditional_window, K + 1, alphabet, trials, seed, tol)
+    return _batch("conditional", check_conditional_window, K, alphabet, trials, seed, tol)

@@ -32,3 +32,10 @@ class MaccParams:
             raise InputError(f"L must satisfy 1 <= L <= K, got L={self.L}, K={self.K}")
         if self.N < 1:
             raise InputError(f"N must be >= 1, got {self.N}")
+
+
+def cyclic_index(i: int, K: int) -> int:
+    """Map any integer to [1..K] cyclically (multiples of K map to K)."""
+    if K < 1:
+        raise InputError(f"K must be >= 1, got {K}")
+    return (i - 1) % K + 1

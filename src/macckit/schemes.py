@@ -11,10 +11,11 @@ from __future__ import annotations
 import abc
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .params import InputError, MaccParams
+from .params import InputError, MaccParams, cyclic_index
+from .serialize import fraction_str
 
 Demand = tuple[int, ...]
 
@@ -47,15 +48,8 @@ def split_bits(vec: bytes, parts: int) -> list[bytes]:
 
 
 # ---------------------------------------------------------------------------
-# cyclic indexing
+# access windows
 # ---------------------------------------------------------------------------
-
-
-def cyclic_index(i: int, K: int) -> int:
-    """Map any integer to [1..K] cyclically (multiples of K map to K)."""
-    if K < 1:
-        raise InputError(f"K must be >= 1, got {K}")
-    return (i - 1) % K + 1
 
 
 def access_window(k: int, params: MaccParams) -> list[int]:
@@ -411,11 +405,9 @@ class VerificationReport:
         return not self.failures
 
     def to_dict(self) -> dict:
-        from .serialize import fraction_str
-
         return {
             "scheme_id": self.scheme_id,
-            "params": {"K": self.params.K, "L": self.params.L, "N": self.params.N},
+            "params": asdict(self.params),
             "F": self.F,
             "seed": self.seed,
             "worst_case_rate": fraction_str(self.worst_case_rate),
@@ -434,13 +426,20 @@ def verify_scheme(
 
     Placement happens once and is reused across all demands.  Passing a
     caches override allows fault-injection tests against corrupted
-    placements.  Failures are sorted by (demand, user) so reports are
-    deterministic however the loop is scheduled.
+    placements; it must be for the library's network and file length and
+    the scheme's memory.
+    Failures are sorted by (demand, user) so reports are deterministic
+    however the loop is scheduled.
     """
     scheme.check_library(library)
     params = library.params
     if caches is None:
         caches = scheme.place(library)
+    elif (caches.params, caches.F, caches.M) != (params, library.F, scheme.memory):
+        raise InputError(
+            f"caches are for {caches.params}, F={caches.F}, M={caches.M}, but "
+            f"{scheme.id!r} on this library needs {params}, F={library.F}, M={scheme.memory}"
+        )
 
     windows = [[caches.cache(i) for i in access_window(k, params)] for k in range(1, params.K + 1)]
     per_demand = []

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import asdict
 from fractions import Fraction
 from typing import IO, Sequence
-
-from .bounds import FAMILIES, BoundCurve
 
 CURVE_CSV_HEADER = ("M", "R", "family", "witness", "M_decimal", "R_decimal")
 POINTS_CSV_HEADER = ("M", "R", "scheme_id")
@@ -38,8 +37,9 @@ def clamp(x: Fraction) -> Fraction:
     return x if x >= 0 else Fraction(0)
 
 
-def curve_rows(curve: BoundCurve) -> list[dict]:
-    """Display rows for one curve: R clamped at zero, both serializations."""
+def curve_rows(curve) -> list[dict]:
+    """Display rows for one bounds.BoundCurve: R clamped at zero, both
+    serializations."""
     rows = []
     for point in curve.points:
         r = clamp(point.R)
@@ -56,26 +56,20 @@ def curve_rows(curve: BoundCurve) -> list[dict]:
     return rows
 
 
-def write_curves_csv(stream: IO[str], curves: Sequence[BoundCurve]) -> None:
+def write_curves_csv(stream: IO[str], curves: Sequence) -> None:
     writer = csv.DictWriter(stream, fieldnames=CURVE_CSV_HEADER, lineterminator="\n")
     writer.writeheader()
     for curve in curves:
         writer.writerows(curve_rows(curve))
 
 
-def write_curves_json(stream: IO[str], curves: Sequence[BoundCurve]) -> None:
-    payload: dict = {"curves": []}
-    for curve in curves:
-        entry = {
-            "params": {"K": curve.params.K, "L": curve.params.L, "N": curve.params.N},
-            "family": curve.bound_id,
-            "points": curve_rows(curve),
-        }
-        if curve.bound_id in FAMILIES:
-            # the fixed search caps the curve was computed under
-            entry.update(FAMILIES[curve.bound_id].caps(curve.params))
-        payload["curves"].append(entry)
-    json.dump(payload, stream, indent=2)
+def write_curves_json(stream: IO[str], curves: Sequence) -> None:
+    """One entry per curve: params, family, points, then the search caps."""
+    entries = [
+        {"params": asdict(c.params), "family": c.bound_id, "points": curve_rows(c), **c.caps}
+        for c in curves
+    ]
+    json.dump({"curves": entries}, stream, indent=2)
     stream.write("\n")
 
 

@@ -294,6 +294,15 @@ class TestSweepCurve:
         curve = sweep_curve(MaccParams(10, 7, 10), "hkd_lemma2", [F(0), F(1)])
         assert curve.points == ()
 
+    def test_curve_carries_the_search_caps(self):
+        params = MaccParams(20, 5, 20)
+        assert sweep_curve(params, "hkd_lemma2", [F(0), F(1)]).caps == {"b_cap": 20}
+        for bound_id in ("cutset_thm1", "improved_thm2", "hkd2_lemma3", "best"):
+            assert sweep_curve(params, bound_id, [F(0), F(1)]).caps == {}
+        # an inapplicable family still records the cap its empty search used
+        curve = sweep_curve(MaccParams(10, 7, 10), "hkd_lemma2", [F(0), F(1)])
+        assert curve.caps == {"b_cap": 10}
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             sweep_curve(P323, "best", [])

@@ -278,6 +278,14 @@ def test_refused_input_exits_usage(tmp_path, argv, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "flag, message", [("--K", "K must be >= 2, got 1"), ("--alphabet", "alphabet must be >= 2, got 1")]
+)
+def test_vacuous_entropy_batch_message(flag, message, capsys):
+    assert run_cli("entropy-test", flag, "1") == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("exc", [ValueError, KeyError])
 def test_internal_error_exits_internal(monkeypatch, capsys, exc):
     # a bug inside the library is neither bad input nor an I/O failure

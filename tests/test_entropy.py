@@ -236,6 +236,24 @@ class TestBatches:
         with pytest.raises(InputError, match="seed must be >= 0, got -1"):
             run_sliding_window_batch(3, 2, 1, seed=-1)
 
+    @pytest.mark.parametrize(
+        "run, K, alphabet, message",
+        [
+            (run_sliding_window_batch, 3, 1, "alphabet must be >= 2, got 1"),
+            (run_sliding_window_batch, 1, 2, "K must be >= 2, got 1"),
+            (run_conditional_window_batch, 1, 2, "K must be >= 2, got 1"),
+            (run_conditional_window_batch, 3, 1, "alphabet must be >= 2, got 1"),
+        ],
+    )
+    def test_vacuous_batches_refused_before_drawing(self, monkeypatch, run, K, alphabet, message):
+        # alphabet 1 makes every entropy 0; K = 1 leaves one margin of 0
+        def drawn(*args, **kwargs):
+            raise RuntimeError("a pmf was drawn before the refusal")
+
+        monkeypatch.setattr(JointPmf, "random", drawn)
+        with pytest.raises(InputError, match=f"^{message}$"):
+            run(K, alphabet, 5, seed=0)
+
     def test_oversized_alphabet_refused_before_drawing(self):
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state

@@ -242,6 +242,18 @@ class TestVerifyScheme:
             transmission = scheme.deliver(library, demand)
             assert transmission.rate * 12 == len(transmission.payload)
 
+    def test_caches_must_fit_the_library(self):
+        library = FileLibrary.random(P323, 12, seed=3)
+        other_network = scheme_zero_memory().place(FileLibrary.zeros(MaccParams(4, 2, 4), 12))
+        with pytest.raises(InputError, match=r"K=4, L=2, N=4.*K=3, L=2, N=3"):
+            verify_scheme(scheme_zero_memory(), library, caches=other_network)
+        shorter_files = scheme_appendix_b().place(FileLibrary.random(P323, 6, seed=3))
+        with pytest.raises(InputError, match=r"F=6.*F=12"):
+            verify_scheme(scheme_appendix_b(), library, caches=shorter_files)
+        other_memory = scheme_full_access_corner_323().place(library)
+        with pytest.raises(InputError, match=r"M=3/2.*M=2/3"):
+            verify_scheme(scheme_appendix_b(), library, caches=other_memory)
+
     def test_report_json_shape(self):
         report = verify_scheme(scheme_appendix_b(), FileLibrary.random(P323, 12, seed=7))
         payload = report.to_dict()

@@ -1,0 +1,76 @@
+"""Package structure: every intra-package import sits at module top and the
+modules form an acyclic graph, with serialize at the bottom beside params."""
+
+import ast
+from graphlib import CycleError, TopologicalSorter
+from pathlib import Path
+
+import pytest
+
+import macckit
+
+PACKAGE = Path(macckit.__file__).resolve().parent
+TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+
+
+def _targets(node: ast.Import | ast.ImportFrom) -> set[str]:
+    """The package modules an import statement loads ('__init__' for the
+    package itself); empty for imports from outside the package."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    else:
+        assert node.level <= 1, "the package has no subpackages"
+        base = ".".join(filter(None, ("macckit" if node.level else "", node.module)))
+        # "from macckit import name" loads macckit.name when name is a module
+        names = [
+            f"{base}.{alias.name}" if base == "macckit" and alias.name in TREES else base
+            for alias in node.names
+        ]
+    return {
+        "__init__" if name == "macckit" else name.split(".")[1]
+        for name in names
+        if name == "macckit" or name.startswith("macckit.")
+    }
+
+
+def _imports(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """(modules imported at module level, modules imported inside a function)."""
+    top, local = set(), set()
+
+    def visit(node: ast.AST, in_function: bool) -> None:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            (local if in_function else top).update(_targets(node))
+        inside = in_function or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, False)
+    return top, local
+
+
+IMPORTS = {name: _imports(tree) for name, tree in TREES.items()}
+
+
+def test_walker_sees_the_package_imports():
+    # guards the tests below against passing on an empty graph
+    assert {"bounds", "entropy", "schemes", "serialize", "params"} <= IMPORTS["cli"][0]
+    assert "params" in IMPORTS["bounds"][0] and "bounds" in IMPORTS["__init__"][0]
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_no_function_body_imports_the_package(module):
+    assert IMPORTS[module][1] == set()
+
+
+def test_serialize_imports_nothing_from_the_package():
+    assert IMPORTS["serialize"] == (set(), set())
+
+
+def test_module_imports_are_acyclic():
+    # every import counts, not only top-level ones, so a cycle cannot hide
+    # inside a function body
+    graph = {name: top | local for name, (top, local) in IMPORTS.items()}
+    try:
+        tuple(TopologicalSorter(graph).static_order())
+    except CycleError as exc:
+        pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
