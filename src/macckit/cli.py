@@ -125,7 +125,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.out is not None:
         _write_text(
             Path(args.out),
-            lambda stream: serialize.write_json_report(stream, report.to_dict()),
+            lambda stream: serialize.write_simulation_report(stream, report.to_dict()),
         )
     if args.points_out is not None:
         point = (scheme.memory, report.worst_case_rate, scheme.id)

@@ -20,6 +20,9 @@ from .params import InputError, cyclic_index
 DEFAULT_TOL = 1e-9
 NORMALIZATION_TOL = 1e-12
 MAX_OUTCOMES = 1 << 16
+#: Floats in one stacked chunk of a batch's trials (512 KiB; one table of
+#: MAX_OUTCOMES fits), so a batch's memory does not grow with its trial count.
+CHUNK_FLOATS = MAX_OUTCOMES
 
 
 def _sizes(alphabet_sizes: Sequence[int]) -> tuple[int, ...]:
@@ -49,11 +52,7 @@ class JointPmf:
         probs = np.asarray(self.probs, dtype=np.float64)
         if probs.shape != sizes:
             raise InputError(f"probs shape {probs.shape} != alphabet sizes {sizes}")
-        if (probs < 0).any():
-            raise InputError("probabilities must be non-negative")
-        total = float(probs.sum())
-        if not abs(total - 1.0) <= NORMALIZATION_TOL:
-            raise InputError(f"probabilities sum to {total!r}, not 1")
+        _check_tables(probs[np.newaxis])
         probs = probs.copy()
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
@@ -77,10 +76,22 @@ class JointPmf:
         return cls(alphabet_sizes=sizes, probs=table)
 
 
-def _entropy(probs: np.ndarray) -> float:
-    """Shannon entropy in bits; zero-probability entries contribute 0."""
-    p = probs[probs > 0.0]
-    return float(-(p * np.log2(p)).sum())
+def _check_tables(tables: np.ndarray) -> None:
+    """Refuse any table stacked along axis 0 that has a negative entry or
+    does not sum to 1 within NORMALIZATION_TOL (NaN included)."""
+    if (tables < 0).any():
+        raise InputError("probabilities must be non-negative")
+    totals = tables.sum(axis=tuple(range(1, tables.ndim)))
+    off = ~(np.abs(totals - 1.0) <= NORMALIZATION_TOL)
+    if off.any():
+        raise InputError(f"probabilities sum to {float(totals[off][0])!r}, not 1")
+
+
+def _entropies(tables: np.ndarray) -> np.ndarray:
+    """Shannon entropy in bits of each table stacked along axis 0;
+    zero-probability entries contribute 0."""
+    rows = tables.reshape(len(tables), -1)
+    return -(rows * np.log2(np.where(rows > 0.0, rows, 1.0))).sum(axis=1)
 
 
 def marginal_entropy(pmf: JointPmf, subset: Sequence[int]) -> float:
@@ -92,15 +103,46 @@ def marginal_entropy(pmf: JointPmf, subset: Sequence[int]) -> float:
         raise InputError(f"subset {sorted(set(subset))} outside [1, K={pmf.K}]")
     drop = tuple(axis for axis in range(pmf.K) if axis + 1 not in indices)
     marginal = pmf.probs.sum(axis=drop) if drop else pmf.probs
-    return _entropy(marginal)
+    return float(_entropies(marginal[np.newaxis])[0])
+
+
+def _window_sums(tables: np.ndarray, s: int) -> np.ndarray:
+    """(1/s) * sum over i of H(cyclic window of length s starting at i), for
+    each of the K-variable tables stacked along axis 0 (variable k is axis k)."""
+    K = tables.ndim - 1
+    total = 0.0
+    for i in range(1, K + 1):  # a running sum in window order rounds as a per-pmf sum
+        window = {cyclic_index(i + j, K) for j in range(s)}
+        drop = tuple(axis for axis in range(1, K + 1) if axis not in window)
+        total = total + _entropies(tables.sum(axis=drop) if drop else tables)
+    return total / s
 
 
 def window_entropy_sum(pmf: JointPmf, s: int) -> float:
     """(1/s) * sum over i of H(cyclic window of length s starting at i)."""
     if not 1 <= s <= pmf.K:
         raise InputError(f"window length s={s} outside [1, K={pmf.K}]")
-    windows = ([cyclic_index(i + j, pmf.K) for j in range(s)] for i in range(1, pmf.K + 1))
-    return sum(marginal_entropy(pmf, window) for window in windows) / s
+    return float(_window_sums(pmf.probs[np.newaxis], s)[0])
+
+
+def _sequences(tables: np.ndarray, conditional: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Per stacked table, the scaled window sums for s = 1..K and the margins
+    (see WindowCheckReport), both one row per table.  A conditional table's
+    last variable conditions the K before it."""
+    if not conditional:
+        sequences = np.stack([_window_sums(tables, s) for s in range(1, tables.ndim)], axis=1)
+        return sequences, sequences[:, :-1] - sequences[:, 1:]
+    K = tables.ndim - 2
+    weights = tables.sum(axis=tuple(range(1, K + 1)))  # marginal of the conditioner
+    sequences = np.zeros((len(tables), K))
+    for w in range(tables.shape[-1]):
+        p_w = weights[:, w]
+        live = p_w > 0.0  # a zero-weight value has an all-zero slice and adds 0
+        slices = tables[..., w] / np.where(live, p_w, 1.0).reshape((-1,) + (1,) * K)
+        _check_tables(slices[live])
+        sequences += p_w[:, np.newaxis] * _sequences(slices, False)[0]
+    # every full-length window is the whole set
+    return sequences, sequences - sequences[:, -1:]
 
 
 @dataclass(frozen=True)
@@ -133,17 +175,20 @@ def _check_tol(tol: float) -> None:
         raise InputError(f"tolerance must be finite and positive, got {tol}")
 
 
-def _window_report(K: int, sequence: list, against: list, tol: float) -> WindowCheckReport:
-    """Margins sequence[i] - against[i], failing where one is below -tol;
-    failure s is the 1-based window length of the margin."""
-    margins = tuple(a - b for a, b in zip(sequence, against))
+def _failures(margins: np.ndarray, tol: float) -> list[tuple[int, int, float]]:
+    """(row, window length s, margin) of every margin below -tol, row by row."""
+    rows, columns = np.nonzero(margins < -tol)
+    return [(int(t), int(i) + 1, float(margins[t, i])) for t, i in zip(rows, columns)]
+
+
+def _window_report(pmf: JointPmf, conditional: bool, tol: float) -> WindowCheckReport:
+    """The check of one pmf: a batch of one."""
+    sequences, margins = _sequences(pmf.probs[np.newaxis], conditional)
     return WindowCheckReport(
-        K=K,
-        sequence=tuple(sequence),
-        margins=margins,
-        failures=tuple(
-            {"s": s, "margin": margin} for s, margin in enumerate(margins, 1) if margin < -tol
-        ),
+        K=sequences.shape[1],
+        sequence=tuple(sequences[0].tolist()),
+        margins=tuple(margins[0].tolist()),
+        failures=tuple({"s": s, "margin": margin} for _, s, margin in _failures(margins, tol)),
     )
 
 
@@ -153,26 +198,7 @@ def check_sliding_window(pmf: JointPmf, tol: float = DEFAULT_TOL) -> WindowCheck
     if pmf.K < 2:
         # one variable has no pair of window lengths to compare
         raise InputError("need at least two variables")
-    sequence = [window_entropy_sum(pmf, s) for s in range(1, pmf.K + 1)]
-    return _window_report(pmf.K, sequence, sequence[1:], tol)
-
-
-def _conditional_window_sequence(pmf: JointPmf) -> list[float]:
-    """Scaled window sums of the first K-1 variables conditioned on the last,
-    expanded over each value of the conditioning variable."""
-    K = pmf.K - 1
-    weights = pmf.probs.sum(axis=tuple(range(K)))  # marginal of the conditioner
-    sequence = np.zeros(K)
-    for w, p_w in enumerate(weights):
-        if p_w == 0.0:
-            continue
-        conditional = JointPmf(
-            alphabet_sizes=pmf.alphabet_sizes[:K], probs=pmf.probs[..., w] / p_w
-        )
-        sequence += p_w * np.array(
-            [window_entropy_sum(conditional, s) for s in range(1, K + 1)]
-        )
-    return [float(x) for x in sequence]
+    return _window_report(pmf, False, tol)
 
 
 def check_conditional_window(pmf: JointPmf, tol: float = DEFAULT_TOL) -> WindowCheckReport:
@@ -182,9 +208,7 @@ def check_conditional_window(pmf: JointPmf, tol: float = DEFAULT_TOL) -> WindowC
     _check_tol(tol)
     if pmf.K < 2:
         raise InputError("need at least one conditioned variable plus the conditioner")
-    sequence = _conditional_window_sequence(pmf)
-    # every full-length window is the whole set
-    return _window_report(pmf.K - 1, sequence, [sequence[-1]] * len(sequence), tol)
+    return _window_report(pmf, True, tol)
 
 
 @dataclass(frozen=True)
@@ -217,10 +241,11 @@ class BatchReport:
         }
 
 
-def _batch(kind: str, check, K: int, alphabet: int, trials: int, seed: int, tol: float) -> BatchReport:
+def _batch(kind: str, K: int, alphabet: int, trials: int, seed: int, tol: float) -> BatchReport:
     """trials random pmfs over K variables (plus the conditioner if
-    conditional), each run through check; one RNG stream keyed by seed makes
-    the batch reproducible.  K or alphabet below 2 could only pass: refused."""
+    conditional), checked in stacked chunks of at most CHUNK_FLOATS floats;
+    one RNG stream keyed by seed makes the batch reproducible.  K or
+    alphabet below 2 could only pass: refused."""
     if K < 2:
         raise InputError(f"K must be >= 2, got {K}")
     if alphabet < 2:
@@ -229,14 +254,23 @@ def _batch(kind: str, check, K: int, alphabet: int, trials: int, seed: int, tol:
         raise InputError(f"trials must be >= 1, got {trials}")
     if seed < 0:
         raise InputError(f"seed must be >= 0, got {seed}")
-    sizes = (alphabet,) * (K + 1 if kind == "conditional" else K)
+    _check_tol(tol)
+    conditional = kind == "conditional"
+    sizes = _sizes((alphabet,) * (K + 1 if conditional else K))
+    chunk = CHUNK_FLOATS // math.prod(sizes)
     rng = np.random.default_rng(seed)
     min_margin = math.inf
     failures = []
-    for trial in range(trials):
-        report = check(JointPmf.random(sizes, rng), tol=tol)
-        min_margin = min(min_margin, report.min_margin)
-        failures.extend({"trial": trial, **failure} for failure in report.failures)
+    for first in range(0, trials, chunk):
+        tables = np.empty((min(chunk, trials - first), *sizes))
+        for t in range(len(tables)):
+            # one draw per trial keeps the seed's stream and each table's refusals
+            tables[t] = JointPmf.random(sizes, rng).probs
+        margins = _sequences(tables, conditional)[1]
+        min_margin = min(min_margin, float(margins.min()))
+        failures.extend(
+            {"trial": first + t, "s": s, "margin": margin} for t, s, margin in _failures(margins, tol)
+        )
     return BatchReport(
         kind=kind,
         K=K,
@@ -254,7 +288,7 @@ def run_sliding_window_batch(
 ) -> BatchReport:
     """trials random pmfs over K variables, all checked against the unconditional
     inequality; one RNG stream keyed by seed makes the batch reproducible."""
-    return _batch("sliding", check_sliding_window, K, alphabet, trials, seed, tol)
+    return _batch("sliding", K, alphabet, trials, seed, tol)
 
 
 def run_conditional_window_batch(
@@ -262,4 +296,4 @@ def run_conditional_window_batch(
 ) -> BatchReport:
     """trials random pmfs over K variables plus one conditioner, checked
     against the conditional inequality."""
-    return _batch("conditional", check_conditional_window, K, alphabet, trials, seed, tol)
+    return _batch("conditional", K, alphabet, trials, seed, tol)

@@ -32,7 +32,8 @@ class SubpacketizationError(InputError):
 def xor_bits(a: bytes, b: bytes) -> bytes:
     if len(a) != len(b):
         raise InputError(f"length mismatch: {len(a)} vs {len(b)}")
-    return bytes(x ^ y for x, y in zip(a, b))
+    # big-int XOR is byte-wise XOR
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
 def random_bits(rng: random.Random, n: int) -> bytes:

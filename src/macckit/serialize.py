@@ -16,6 +16,9 @@ from typing import IO, Sequence
 
 CURVE_CSV_HEADER = ("M", "R", "family", "witness", "M_decimal", "R_decimal")
 POINTS_CSV_HEADER = ("M", "R", "scheme_id")
+_ROWS = "\x00rows"  # stands in for the per_demand rows while the rest is encoded
+# one per_demand row as json.dump(..., indent=2) lays it out under a top-level key
+_ROW = '{\n      "d": [\n        %s\n      ],\n      "rate": "%s",\n      "pass": %s\n    }'
 
 
 def fraction_str(x: Fraction) -> str:
@@ -87,3 +90,17 @@ def write_json_report(stream: IO[str], payload: dict) -> None:
     # inf and nan are not JSON; refuse them rather than write an unreadable report
     json.dump(payload, stream, indent=2, allow_nan=False)
     stream.write("\n")
+
+
+def write_simulation_report(stream: IO[str], payload: dict) -> None:
+    """A VerificationReport.to_dict() (non-empty per_demand) as write_json_report
+    writes it, with the rows streamed from one template instead of json's encoder."""
+    text = json.dumps({**payload, "per_demand": [_ROWS]}, indent=2, allow_nan=False)
+    head, tail = text.split(json.dumps(_ROWS))
+    rows = (
+        _ROW % (",\n        ".join(map(str, row["d"])), row["rate"], "true" if row["pass"] else "false")
+        for row in payload["per_demand"]
+    )
+    stream.write(head + next(rows))
+    stream.writelines(",\n    " + row for row in rows)
+    stream.write(tail + "\n")

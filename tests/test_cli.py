@@ -222,10 +222,10 @@ class TestEntropyCommand:
         # 2^16 outcomes fit MAX_OUTCOMES, but the conditional batch's 2^17 do not
         import macckit.cli as cli
 
-        def drawn(*args, **kwargs):
+        def ran(*args, **kwargs):
             raise RuntimeError("sliding batch ran before the refusal")
 
-        monkeypatch.setattr(cli.entropy, "check_sliding_window", drawn)
+        monkeypatch.setattr(cli.entropy, "run_sliding_window_batch", ran)
         assert run_cli("entropy-test", "--K", "16", "--alphabet", "2", "--trials", "3") == EXIT_USAGE
 
     def test_deterministic_reports(self, tmp_path):
@@ -336,6 +336,9 @@ GOLDEN_OUTPUTS = [
      "f911e8c4f199f923ff8980d9048e5d0f7fd7863354331be1518ce7a3b1677a4b"),
     (("simulate", "--scheme", "appendix-b", "--seed", "7"),
      "e1ec4cf4db75816348c1db62b65c772e6ec34c7fe98e3544cbbff5a364142013"),
+    (("simulate", "--scheme", "zero-memory", "--K", "4", "--L", "2", "--N", "4", "--F", "8",
+      "--seed", "3"),
+     "f6c15c8cd93a36d6ed28c0ece04f8167ee44005e7adc965f4659d597ece75efc"),
     (("entropy-test", "--K", "3", "--alphabet", "2", "--trials", "200", "--seed", "1"),
      "f62f4e3b80ba69b0a2e13d72c06688f69fc69a5eb14655bcdd757051bb484f31"),
     (("entropy-test", "--K", "4", "--alphabet", "3", "--trials", "50", "--seed", "2"),

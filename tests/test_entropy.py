@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import macckit.entropy as entropy
 from macckit import (
     JointPmf,
     check_conditional_window,
@@ -83,6 +85,8 @@ class TestMarginalEntropy:
         expected = -(1 / 3) * math.log2(1 / 3) - (2 / 3) * math.log2(2 / 3)
         assert expected == pytest.approx(0.9182958340544896, abs=1e-12)
         assert marginal_entropy(pmf, [1]) == pytest.approx(expected, abs=1e-12)
+        # the joint table holds the zero, which adds 0: uniform over 3 outcomes
+        assert marginal_entropy(pmf, [1, 2]) == pytest.approx(math.log2(3), abs=1e-12)
 
     def test_duplicates_removed(self):
         pmf = JointPmf.independent_uniform((2, 2))
@@ -270,3 +274,108 @@ class TestBatches:
         monkeypatch.setattr(entropy.np, "full", allocated)
         with pytest.raises(InputError, match="exceeds"):
             JointPmf.independent_uniform((2,) * 17)
+
+
+def oracle_sequence(pmf, conditional):
+    """Per-pmf oracle from marginal_entropy alone: the scaled window sums in
+    window order, and for the conditional form their p_w-weighted sum over
+    the conditioner's values (summed in the same order as the library)."""
+    if not conditional:
+        return np.array([window_sum_in_order(pmf, s) for s in range(1, pmf.K + 1)])
+    K = pmf.K - 1
+    sequence = np.zeros(K)
+    for w, p_w in enumerate(pmf.probs.sum(axis=tuple(range(K)))):
+        if p_w > 0.0:
+            given_w = JointPmf(pmf.alphabet_sizes[:K], pmf.probs[..., w] / p_w)
+            sequence += p_w * oracle_sequence(given_w, False)
+    return sequence
+
+
+def window_sum_in_order(pmf, s):
+    total = 0
+    for i in range(1, pmf.K + 1):
+        total += marginal_entropy(pmf, [(i - 1 + j) % pmf.K + 1 for j in range(s)])
+    return total / s
+
+
+def oracle_margins(sequence, conditional):
+    return sequence - sequence[-1] if conditional else sequence[:-1] - sequence[1:]
+
+
+BATCH_CASES = [(3, 2, 9, 5), (4, 3, 7, 1), (5, 2, 6, 2), (2, 4, 11, 3)]
+
+
+class TestBatchedKernel:
+    """The stacked kernel against per-pmf oracles, value for value."""
+
+    @pytest.mark.parametrize("conditional", [False, True])
+    @pytest.mark.parametrize("K, alphabet, trials, seed", BATCH_CASES)
+    def test_stacked_sequences_equal_per_pmf_oracle(self, K, alphabet, trials, seed, conditional):
+        sizes = (alphabet,) * (K + conditional)
+        rng = np.random.default_rng(seed)
+        pmfs = [JointPmf.random(sizes, rng) for _ in range(trials)]
+        sequences, margins = entropy._sequences(np.stack([p.probs for p in pmfs]), conditional)
+        for pmf, row, margin_row in zip(pmfs, sequences, margins):
+            expected = oracle_sequence(pmf, conditional)
+            assert row.tolist() == expected.tolist()
+            assert margin_row.tolist() == oracle_margins(expected, conditional).tolist()
+
+    @pytest.mark.parametrize("negate", [False, True])
+    @pytest.mark.parametrize("chunk", [1, 4, None])
+    @pytest.mark.parametrize("conditional", [False, True])
+    @pytest.mark.parametrize("K, alphabet, trials, seed", BATCH_CASES)
+    def test_batch_report_equals_per_pmf_oracle(
+        self, monkeypatch, K, alphabet, trials, seed, conditional, chunk, negate
+    ):
+        # chunks of 1 and 4 trials straddle chunk boundaries mid-batch;
+        # negated entropies turn the margins into failures on both sides
+        sizes = (alphabet,) * (K + conditional)
+        if chunk is not None:
+            monkeypatch.setattr(entropy, "CHUNK_FLOATS", chunk * math.prod(sizes))
+        if negate:
+            entropies = entropy._entropies
+            monkeypatch.setattr(entropy, "_entropies", lambda tables: -entropies(tables))
+        tol = 1e-9
+        run = run_conditional_window_batch if conditional else run_sliding_window_batch
+        report = run(K, alphabet, trials, seed, tol=tol)
+
+        rng = np.random.default_rng(seed)
+        min_margin, failures = math.inf, []
+        for trial in range(trials):
+            margins = oracle_margins(oracle_sequence(JointPmf.random(sizes, rng), conditional), conditional)
+            min_margin = min(min_margin, *margins.tolist())
+            failures += [
+                {"trial": trial, "s": s, "margin": m}
+                for s, m in enumerate(margins.tolist(), 1) if m < -tol
+            ]
+        assert report.min_margin == min_margin
+        assert list(report.failures) == failures
+        assert bool(failures) == negate
+
+    @pytest.mark.parametrize("conditional", [False, True])
+    def test_single_checks_are_a_batch_of_one(self, conditional):
+        # a table with a zero entry, which contributes 0 to every entropy
+        table = np.arange(2 * 3 * 2 * 2, dtype=float).reshape(2, 3, 2, 2)
+        pmf = JointPmf(table.shape, table / table.sum())
+        check = check_conditional_window if conditional else check_sliding_window
+        report = check(pmf)
+        expected = oracle_sequence(pmf, conditional)
+        assert list(report.sequence) == expected.tolist()
+        assert list(report.margins) == oracle_margins(expected, conditional).tolist()
+
+    @pytest.mark.parametrize("run, K", [(run_sliding_window_batch, 6), (run_conditional_window_batch, 5)])
+    def test_memory_does_not_grow_with_trials(self, monkeypatch, run, K):
+        # 4^6 outcomes per table, 4 tables per chunk: 200 unchunked tables would
+        # stack 6.5 MB.  CPython's tuple and float free lists, which grow with
+        # the number of calls, account for up to about 0.5 MB of either peak.
+        monkeypatch.setattr(entropy, "CHUNK_FLOATS", 4 * 4**6)
+        run(K, 4, 4, seed=0)  # allocations of a first call are not the batch's
+        peaks = []
+        for trials in (8, 200):
+            tracemalloc.start()
+            try:
+                assert run(K, 4, trials, seed=0).passed
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + (1 << 20)

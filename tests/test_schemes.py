@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from macckit import (
     CacheContents,
@@ -54,6 +56,22 @@ class TestBitHelpers:
             split_bits(a, 3)
         with pytest.raises(ValueError):
             xor_bits(a, a[:2])
+
+    @given(st.integers(0, 64).flatmap(lambda n: st.tuples(*[st.binary(min_size=n, max_size=n)] * 2)))
+    @example((b"", b""))
+    @example((b"\x00\x00\x01", b"\x00\x00\x01"))
+    @example((b"\x00\x01\x00\x01", b"\x00\x00\x00\x01"))
+    @example((b"\xff" * 9, b"\x00\xff" * 4 + b"\x0f"))
+    def test_xor_bits_is_bytewise_xor(self, pair):
+        a, b = pair
+        assert xor_bits(a, b) == bytes(x ^ y for x, y in zip(a, b))
+
+    @given(st.binary(max_size=16), st.binary(max_size=16))
+    @example(b"", b"\x00")
+    def test_xor_bits_refuses_unequal_lengths(self, a, b):
+        assume(len(a) != len(b))
+        with pytest.raises(InputError, match="length mismatch"):
+            xor_bits(a, b)
 
     def test_library_validation(self):
         with pytest.raises(ValueError):

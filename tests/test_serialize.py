@@ -8,7 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from macckit import MaccParams, sweep_curve, uniform_grid
+from macckit import (
+    CacheContents,
+    FileLibrary,
+    MaccParams,
+    scheme_appendix_b,
+    scheme_full_access_corner_323,
+    scheme_zero_memory,
+    sweep_curve,
+    uniform_grid,
+    verify_scheme,
+)
 from macckit.serialize import (
     CURVE_CSV_HEADER,
     clamp,
@@ -20,6 +30,7 @@ from macckit.serialize import (
     write_curves_csv,
     write_curves_json,
     write_json_report,
+    write_simulation_report,
 )
 
 P323 = MaccParams(3, 2, 3)
@@ -91,3 +102,30 @@ def test_json_report_refuses_non_finite_numbers():
     for value in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError):
             write_json_report(io.StringIO(), {"min_margin": value})
+
+
+def _report_payload(scheme, params, F, corrupt):
+    library = FileLibrary.random(params, F, seed=5)
+    caches = scheme.place(library)
+    if corrupt:  # flip one bit of cache 1 so some users fail to decode
+        flipped = bytes([caches.caches[0][0] ^ 1]) + caches.caches[0][1:]
+        caches = CacheContents(params, caches.M, F, (flipped,) + caches.caches[1:])
+    return verify_scheme(scheme, library, caches=caches).to_dict()
+
+
+@pytest.mark.parametrize(
+    "scheme, params, F, corrupt",
+    [
+        (scheme_appendix_b(), P323, 12, False),
+        (scheme_appendix_b(), P323, 12, True),
+        (scheme_full_access_corner_323(), P323, 6, True),
+        (scheme_zero_memory(), MaccParams(4, 2, 4), 8, False),
+        (scheme_zero_memory(), MaccParams(1, 1, 1), 1, False),
+    ],
+)
+def test_streamed_rows_equal_json_dump(scheme, params, F, corrupt):
+    payload = _report_payload(scheme, params, F, corrupt)
+    assert bool(payload["failures"]) == corrupt
+    streamed = io.StringIO()
+    write_simulation_report(streamed, payload)
+    assert streamed.getvalue() == json.dumps(payload, indent=2, allow_nan=False) + "\n"
