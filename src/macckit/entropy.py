@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .params import InputError, cyclic_index
+from .params import InputError, cyclic_index, require_int
 
 DEFAULT_TOL = 1e-9
 NORMALIZATION_TOL = 1e-12
@@ -96,6 +96,8 @@ def _entropies(tables: np.ndarray) -> np.ndarray:
 
 def marginal_entropy(pmf: JointPmf, subset: Sequence[int]) -> float:
     """Entropy of the marginal over the given variables (1-based indices)."""
+    for index in subset:
+        require_int("variable index", index)
     indices = sorted(set(subset))
     if not indices:
         raise InputError("subset must be non-empty")
@@ -120,6 +122,7 @@ def _window_sums(tables: np.ndarray, s: int) -> np.ndarray:
 
 def window_entropy_sum(pmf: JointPmf, s: int) -> float:
     """(1/s) * sum over i of H(cyclic window of length s starting at i)."""
+    require_int("window length s", s)
     if not 1 <= s <= pmf.K:
         raise InputError(f"window length s={s} outside [1, K={pmf.K}]")
     return float(_window_sums(pmf.probs[np.newaxis], s)[0])

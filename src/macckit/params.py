@@ -34,6 +34,12 @@ class MaccParams:
             raise InputError(f"N must be >= 1, got {self.N}")
 
 
+def require_int(name: str, value) -> None:
+    """Refuse anything but an int, bool included (an index is never a flag)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(f"{name} must be an int, got {value!r}")
+
+
 def cyclic_index(i: int, K: int) -> int:
     """Map any integer to [1..K] cyclically (multiples of K map to K)."""
     if K < 1:

@@ -14,7 +14,7 @@ import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .params import InputError, MaccParams, cyclic_index
+from .params import InputError, MaccParams, cyclic_index, require_int
 from .serialize import fraction_str
 
 Demand = tuple[int, ...]
@@ -55,6 +55,7 @@ def split_bits(vec: bytes, parts: int) -> list[bytes]:
 
 def access_window(k: int, params: MaccParams) -> list[int]:
     """The L consecutive cache indices user k reads, wrapping around."""
+    require_int("user index k", k)
     if not 1 <= k <= params.K:
         raise InputError(f"user index k={k} outside [1, K={params.K}]")
     return [cyclic_index(k + j, params.K) for j in range(params.L)]
@@ -93,6 +94,8 @@ class FileLibrary:
 
     @classmethod
     def random(cls, params: MaccParams, F: int, seed: int) -> "FileLibrary":
+        if seed < 0:  # random.Random seeds with abs(seed)
+            raise InputError(f"seed must be >= 0, got {seed}")
         rng = random.Random(seed)
         return cls(
             params=params,
@@ -174,7 +177,8 @@ class Scheme(abc.ABC):
     """A placement/delivery/decoding triple for fixed memory M.
 
     decode() receives only the transmission and the caches in the user's
-    cyclic access window, never the library.
+    cyclic access window, never the library.  Every place() and deliver()
+    runs check_library first.
     """
 
     id: str
@@ -201,12 +205,12 @@ class Scheme(abc.ABC):
 
     @abc.abstractmethod
     def decode(
-        self, k: int, transmission: Transmission, window_caches: list[bytes], demand: Demand
+        self, k: int, transmission: Transmission, window: dict[int, bytes], demand: Demand
     ) -> bytes:
         """User k's reconstruction of its demanded file.
 
-        window_caches holds the payloads of access_window(k, params), in
-        window order.
+        window maps each cache index of access_window(k, params), in window
+        order, to that cache's payload.
         """
 
 
@@ -264,7 +268,7 @@ class CodedPlacementScheme323(Scheme):
         return xor_bits(known_subfile, delta)
 
     def decode(
-        self, k: int, transmission: Transmission, window_caches: list[bytes], demand: Demand
+        self, k: int, transmission: Transmission, window: dict[int, bytes], demand: Demand
     ) -> bytes:
         sent = split_bits(transmission.payload, 3)  # sent[j-1] = subfile of d_j
         parts: dict[int, bytes] = {}
@@ -272,8 +276,7 @@ class CodedPlacementScheme323(Scheme):
         parts[self._transmit_index(k)] = sent[k - 1]
         # each cache Z_i in the window unlocks subfile index i via the
         # transmitted subfile of that index, which belongs to file d_<i+1>
-        for offset, cache in enumerate(window_caches):
-            i = cyclic_index(k + offset, 3)
+        for i, cache in window.items():
             j = cyclic_index(i + 1, 3)
             parts[i] = self._unlock(cache, demand[j - 1], sent[j - 1], demand[k - 1])
         return b"".join(parts[i] for i in (1, 2, 3))
@@ -302,7 +305,7 @@ class ZeroMemoryScheme(Scheme):
         return Transmission.of(payload, library.F)
 
     def decode(
-        self, k: int, transmission: Transmission, window_caches: list[bytes], demand: Demand
+        self, k: int, transmission: Transmission, window: dict[int, bytes], demand: Demand
     ) -> bytes:
         wanted = sorted(set(demand))
         chunk = wanted.index(demand[k - 1])
@@ -335,18 +338,16 @@ class FullAccessCornerScheme323(Scheme):
         )
 
     def decode(
-        self, k: int, transmission: Transmission, window_caches: list[bytes], demand: Demand
+        self, k: int, transmission: Transmission, window: dict[int, bytes], demand: Demand
     ) -> bytes:
         n = demand[k - 1]
-        window = access_window(k, self.network)
-        stored = dict(zip(window, window_caches))
-        f = len(window_caches[0]) // 3
 
         def part(cache_index: int) -> bytes:
-            return stored[cache_index][(n - 1) * f : n * f]
+            f = len(window[cache_index]) // 3
+            return window[cache_index][(n - 1) * f : n * f]
 
-        a = part(1) if 1 in stored else xor_bits(part(2), part(3))
-        b = part(2) if 2 in stored else xor_bits(part(1), part(3))
+        a = part(1) if 1 in window else xor_bits(part(2), part(3))
+        b = part(2) if 2 in window else xor_bits(part(1), part(3))
         return a + b
 
     def deliver(self, library: FileLibrary, demand: Demand) -> Transmission:
@@ -420,29 +421,17 @@ class VerificationReport:
         }
 
 
-def verify_scheme(
-    scheme: Scheme, library: FileLibrary, caches: CacheContents | None = None
-) -> VerificationReport:
+def verify_scheme(scheme: Scheme, library: FileLibrary) -> VerificationReport:
     """Run every demand vector through delivery and per-user decoding.
 
-    Placement happens once and is reused across all demands.  Passing a
-    caches override allows fault-injection tests against corrupted
-    placements; it must be for the library's network and file length and
-    the scheme's memory.
+    Placement happens once and is reused across all demands.  Each user's
+    window, {cache index: payload} in access_window order, is built once.
     Failures are sorted by (demand, user) so reports are deterministic
     however the loop is scheduled.
     """
-    scheme.check_library(library)
     params = library.params
-    if caches is None:
-        caches = scheme.place(library)
-    elif (caches.params, caches.F, caches.M) != (params, library.F, scheme.memory):
-        raise InputError(
-            f"caches are for {caches.params}, F={caches.F}, M={caches.M}, but "
-            f"{scheme.id!r} on this library needs {params}, F={library.F}, M={scheme.memory}"
-        )
-
-    windows = [[caches.cache(i) for i in access_window(k, params)] for k in range(1, params.K + 1)]
+    caches = scheme.place(library)
+    windows = [{i: caches.cache(i) for i in access_window(k, params)} for k in range(1, params.K + 1)]
     per_demand = []
     failures = []
     worst = Fraction(0)

@@ -189,8 +189,8 @@ class TestSimulateCommand:
 
         real = schemes.verify_scheme
 
-        def sabotaged(scheme, library, caches=None):
-            report = real(scheme, library, caches)
+        def sabotaged(scheme, library):
+            report = real(scheme, library)
             return schemes.VerificationReport(
                 scheme_id=report.scheme_id, params=report.params, F=report.F,
                 seed=report.seed, worst_case_rate=report.worst_case_rate,
@@ -264,6 +264,7 @@ REFUSED = [
     ("bounds", "--K", "3", "--L", "2", "--N", "3", "--families", ""),
     ("compare", "--K", "3", "--L", "2", "--N", "3", "--grid", "0:4:5"),
     ("simulate", "--scheme", "zero-memory", "--F", "0"),
+    ("simulate", "--scheme", "appendix-b", "--seed", "-1"),
     ("entropy-test", "--seed", "-1", "--trials", "2"),
     ("entropy-test", "--K", "20", "--alphabet", "2", "--trials", "1"),
     ("entropy-test", "--tol", "-1", "--trials", "1"),

@@ -100,6 +100,9 @@ class TestMarginalEntropy:
             marginal_entropy(pmf, [0])
         with pytest.raises(ValueError):
             marginal_entropy(pmf, [3])
+        for subset in ([1.5], [1, 1.5], [True]):
+            with pytest.raises(InputError, match="must be an int"):
+                marginal_entropy(pmf, subset)
 
     def test_entropy_bounds(self):
         rng = np.random.default_rng(5)
@@ -142,6 +145,9 @@ class TestWindowEntropySum:
             window_entropy_sum(pmf, 0)
         with pytest.raises(ValueError):
             window_entropy_sum(pmf, 3)
+        for s in (1.5, True):
+            with pytest.raises(InputError, match="must be an int"):
+                window_entropy_sum(pmf, s)
 
 
 class TestSlidingWindowCheck:

@@ -41,6 +41,9 @@ class TestCyclicIndexing:
             access_window(0, P323)
         with pytest.raises(ValueError):
             access_window(4, P323)
+        for k in (1.5, True):
+            with pytest.raises(InputError, match="must be an int"):
+                access_window(k, P323)
 
     def test_cyclic_index_needs_positive_K(self):
         with pytest.raises(InputError):
@@ -80,6 +83,9 @@ class TestBitHelpers:
             FileLibrary(P323, 4, (bytes(4), bytes(4), bytes(3)))
         with pytest.raises(ValueError):
             FileLibrary(P323, 2, (bytes([2, 0]), bytes(2), bytes(2)))
+        # random.Random(-1) would silently reuse seed 1's stream
+        with pytest.raises(InputError, match="seed must be >= 0, got -1"):
+            FileLibrary.random(P323, 12, seed=-1)
 
     @pytest.mark.parametrize("index", [0, 4])
     def test_file_and_cache_indices_refused(self, index):
@@ -145,7 +151,7 @@ class TestCodedPlacement323:
         library = FileLibrary.random(P323, 12, seed=11)
         caches = scheme.place(library)
         transmission = scheme.deliver(library, (1, 2, 3))
-        window = [caches.cache(i) for i in access_window(1, P323)]
+        window = {i: caches.cache(i) for i in access_window(1, P323)}
         assert scheme.decode(1, transmission, window, (1, 2, 3)) == library.file(1)
 
 
@@ -185,7 +191,7 @@ class TestFullAccessCorner323:
         caches = scheme.place(library)
         empty = scheme.deliver(library, (1, 1, 1))
         for k in (1, 2, 3):
-            window = [caches.cache(i) for i in access_window(k, P323)]
+            window = {i: caches.cache(i) for i in access_window(k, P323)}
             for n in (1, 2, 3):
                 demand = tuple(n if j == k else 1 for j in (1, 2, 3))
                 assert scheme.decode(k, empty, window, demand) == library.file(n)
@@ -211,7 +217,7 @@ class TestFullAccessCorner323:
 
 
 class TestVerifyScheme:
-    def test_corrupted_placement_is_reported(self):
+    def test_corrupted_placement_is_reported(self, monkeypatch):
         scheme = scheme_appendix_b()
         library = FileLibrary.random(P323, 12, seed=13)
         caches = scheme.place(library)
@@ -220,7 +226,8 @@ class TestVerifyScheme:
         corrupted = CacheContents(
             params=P323, M=scheme.memory, F=12, caches=(bytes(flipped),) + caches.caches[1:]
         )
-        report = verify_scheme(scheme, library, caches=corrupted)
+        monkeypatch.setattr(scheme, "place", lambda library: corrupted)
+        report = verify_scheme(scheme, library)
         assert not report.passed
         assert len(report.failures) > 0
         assert report.failures == tuple(sorted(report.failures))
@@ -248,7 +255,7 @@ class TestVerifyScheme:
                         for i, z in enumerate(caches.caches)
                     ),
                 )
-                window_payloads = [zeroed.cache(i) for i in window]
+                window_payloads = {i: zeroed.cache(i) for i in window}
                 assert scheme.decode(k, transmission, window_payloads, demand) == library.file(
                     demand[k - 1]
                 )
@@ -259,18 +266,6 @@ class TestVerifyScheme:
         for demand in all_demand_vectors(P323):
             transmission = scheme.deliver(library, demand)
             assert transmission.rate * 12 == len(transmission.payload)
-
-    def test_caches_must_fit_the_library(self):
-        library = FileLibrary.random(P323, 12, seed=3)
-        other_network = scheme_zero_memory().place(FileLibrary.zeros(MaccParams(4, 2, 4), 12))
-        with pytest.raises(InputError, match=r"K=4, L=2, N=4.*K=3, L=2, N=3"):
-            verify_scheme(scheme_zero_memory(), library, caches=other_network)
-        shorter_files = scheme_appendix_b().place(FileLibrary.random(P323, 6, seed=3))
-        with pytest.raises(InputError, match=r"F=6.*F=12"):
-            verify_scheme(scheme_appendix_b(), library, caches=shorter_files)
-        other_memory = scheme_full_access_corner_323().place(library)
-        with pytest.raises(InputError, match=r"M=3/2.*M=2/3"):
-            verify_scheme(scheme_appendix_b(), library, caches=other_memory)
 
     def test_report_json_shape(self):
         report = verify_scheme(scheme_appendix_b(), FileLibrary.random(P323, 12, seed=7))

@@ -104,13 +104,14 @@ def test_json_report_refuses_non_finite_numbers():
             write_json_report(io.StringIO(), {"min_margin": value})
 
 
-def _report_payload(scheme, params, F, corrupt):
+def _report_payload(monkeypatch, scheme, params, F, corrupt):
     library = FileLibrary.random(params, F, seed=5)
     caches = scheme.place(library)
     if corrupt:  # flip one bit of cache 1 so some users fail to decode
         flipped = bytes([caches.caches[0][0] ^ 1]) + caches.caches[0][1:]
         caches = CacheContents(params, caches.M, F, (flipped,) + caches.caches[1:])
-    return verify_scheme(scheme, library, caches=caches).to_dict()
+        monkeypatch.setattr(scheme, "place", lambda library: caches)
+    return verify_scheme(scheme, library).to_dict()
 
 
 @pytest.mark.parametrize(
@@ -123,8 +124,8 @@ def _report_payload(scheme, params, F, corrupt):
         (scheme_zero_memory(), MaccParams(1, 1, 1), 1, False),
     ],
 )
-def test_streamed_rows_equal_json_dump(scheme, params, F, corrupt):
-    payload = _report_payload(scheme, params, F, corrupt)
+def test_streamed_rows_equal_json_dump(monkeypatch, scheme, params, F, corrupt):
+    payload = _report_payload(monkeypatch, scheme, params, F, corrupt)
     assert bool(payload["failures"]) == corrupt
     streamed = io.StringIO()
     write_simulation_report(streamed, payload)

@@ -2,12 +2,14 @@
 modules form an acyclic graph, with serialize at the bottom beside params."""
 
 import ast
+import importlib.util
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import pytest
 
 import macckit
+from macckit import schemes
 
 PACKAGE = Path(macckit.__file__).resolve().parent
 TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
@@ -74,3 +76,17 @@ def test_module_imports_are_acyclic():
         tuple(TopologicalSorter(graph).static_order())
     except CycleError as exc:
         pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
+
+
+def test_perfbench_tracer_targets_exist():
+    # the tracer skips a scheme method a class does not define itself, so a
+    # moved or renamed method would silently drop out of the traced work counts
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for owner, attr, *_ in tracer._targets():
+        assert attr in owner.__dict__, f"{owner.__name__}.{attr}"
+    for scheme_class in schemes.SCHEMES.values():
+        for method in ("place", "deliver", "decode"):
+            assert method in scheme_class.__dict__, f"{scheme_class.__name__}.{method}"
