@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence, Union
 
-from .params import InputError, MaccParams
+from .params import InputError, MaccParams, require_int
 from .serialize import fraction_str
 
 Rational = Fraction
@@ -92,18 +92,13 @@ def _cutset_space(params: MaccParams) -> Iterator[dict]:
         yield {"s": s}
 
 
-def _check_s(params: MaccParams, s: int) -> None:
-    if not 1 <= s <= min(params.K, params.N):
-        raise InputError(f"s={s} outside [1, min(K, N)]")
-
-
 def _cutset_coeffs(params: MaccParams, s: int) -> tuple[Fraction, Fraction]:
-    _check_s(params, s)
+    require_int("s", s, 1, min(params.K, params.N))
     return Fraction(s), Fraction(min(s + params.L - 1, params.K), params.N // s)
 
 
 def _lemma3_coeffs(params: MaccParams, s: int) -> tuple[Fraction, Fraction]:
-    _check_s(params, s)
+    require_int("s", s, 1, min(params.K, params.N))
     return Fraction(s), Fraction(s + params.L - 1, params.N // s)
 
 
@@ -115,10 +110,8 @@ def _improved_space(params: MaccParams) -> Iterator[dict]:
 
 def _improved_coeffs(params: MaccParams, s: int, l: int) -> tuple[Fraction, Fraction]:
     K, L, N = params.K, params.L, params.N
-    if not 1 <= s <= K:
-        raise InputError(f"s={s} outside [1, K]")
-    if not 1 <= l <= -(-N // s):
-        raise InputError(f"l={l} outside [1, ceil(N/s)]")
+    require_int("s", s, 1, K)
+    require_int("l", l, 1, -(-N // s))
     p = min(s + L - 1, K)
     intercept = Fraction(K * N - (K - p) * max(0, N - l * s) - K * max(0, N - l * K), K * l)
     return intercept, Fraction(p, l)
@@ -145,8 +138,10 @@ def _lemma2_space(params: MaccParams, b_cap: int) -> Iterator[dict]:
 
 def _lemma2_coeffs(params: MaccParams, s: int, t: int, b: int) -> tuple[Fraction, Fraction]:
     K, L, N = params.K, params.L, params.N
-    if b < 1 or not 1 <= t <= K or s < 1 or not L <= s * t <= K // 2:
-        raise InputError(f"(s={s}, t={t}, b={b}) outside the searched parameter set")
+    require_int("s", s, 1)
+    require_int("t", t, 1)
+    require_int("b", b, 1)
+    require_int("s*t", s * t, L, K // 2)
     lam_den = 1 if s * t == L else 2
     return Fraction(min((s * t - L + 1) * s * b, N), s * b * lam_den), Fraction(t, b)
 
@@ -342,8 +337,7 @@ def evaluate_witness(params: MaccParams, bound_id: str, witness: dict, M: Memory
 def uniform_grid(start: MemoryLike, stop: MemoryLike, count: int) -> list[Fraction]:
     """count exact rationals uniformly spaced on [start, stop], endpoints included."""
     lo, hi = as_memory(start), as_memory(stop)
-    if count < 2:
-        raise InputError(f"grid count must be >= 2, got {count}")
+    require_int("grid count", count, 2)
     if hi <= lo:
         raise InputError(f"grid needs start < stop, got [{lo}, {hi}]")
     step = (hi - lo) / (count - 1)

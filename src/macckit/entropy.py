@@ -26,10 +26,11 @@ CHUNK_FLOATS = MAX_OUTCOMES
 
 
 def _sizes(alphabet_sizes: Sequence[int]) -> tuple[int, ...]:
-    """The alphabet sizes as ints, checked before any table is allocated."""
-    sizes = tuple(int(a) for a in alphabet_sizes)
-    if not sizes or any(a < 1 for a in sizes):
-        raise InputError(f"alphabet sizes must be positive: {sizes}")
+    """The alphabet sizes as a tuple, checked before any table is allocated;
+    each must be an int >= 1 (a float or bool is refused, not coerced)."""
+    sizes = tuple(require_int("alphabet size", a, 1) for a in alphabet_sizes)
+    if not sizes:
+        raise InputError("alphabet sizes must be non-empty")
     if math.prod(sizes) > MAX_OUTCOMES:
         raise InputError(f"product alphabet exceeds {MAX_OUTCOMES} outcomes")
     return sizes
@@ -96,13 +97,9 @@ def _entropies(tables: np.ndarray) -> np.ndarray:
 
 def marginal_entropy(pmf: JointPmf, subset: Sequence[int]) -> float:
     """Entropy of the marginal over the given variables (1-based indices)."""
-    for index in subset:
-        require_int("variable index", index)
-    indices = sorted(set(subset))
+    indices = {require_int("variable index", index, 1, pmf.K) for index in subset}
     if not indices:
         raise InputError("subset must be non-empty")
-    if indices[0] < 1 or indices[-1] > pmf.K:
-        raise InputError(f"subset {sorted(set(subset))} outside [1, K={pmf.K}]")
     drop = tuple(axis for axis in range(pmf.K) if axis + 1 not in indices)
     marginal = pmf.probs.sum(axis=drop) if drop else pmf.probs
     return float(_entropies(marginal[np.newaxis])[0])
@@ -122,9 +119,7 @@ def _window_sums(tables: np.ndarray, s: int) -> np.ndarray:
 
 def window_entropy_sum(pmf: JointPmf, s: int) -> float:
     """(1/s) * sum over i of H(cyclic window of length s starting at i)."""
-    require_int("window length s", s)
-    if not 1 <= s <= pmf.K:
-        raise InputError(f"window length s={s} outside [1, K={pmf.K}]")
+    require_int("window length s", s, 1, pmf.K)
     return float(_window_sums(pmf.probs[np.newaxis], s)[0])
 
 
@@ -249,14 +244,10 @@ def _batch(kind: str, K: int, alphabet: int, trials: int, seed: int, tol: float)
     conditional), checked in stacked chunks of at most CHUNK_FLOATS floats;
     one RNG stream keyed by seed makes the batch reproducible.  K or
     alphabet below 2 could only pass: refused."""
-    if K < 2:
-        raise InputError(f"K must be >= 2, got {K}")
-    if alphabet < 2:
-        raise InputError(f"alphabet must be >= 2, got {alphabet}")
-    if trials < 1:
-        raise InputError(f"trials must be >= 1, got {trials}")
-    if seed < 0:
-        raise InputError(f"seed must be >= 0, got {seed}")
+    require_int("K", K, 2)
+    require_int("alphabet", alphabet, 2)
+    require_int("trials", trials, 1)
+    require_int("seed", seed, 0)
     _check_tol(tol)
     conditional = kind == "conditional"
     sizes = _sizes((alphabet,) * (K + 1 if conditional else K))

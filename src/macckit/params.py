@@ -26,22 +26,24 @@ class MaccParams:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise TypeError(f"{name} must be an int, got {value!r}")
-        if self.K < 1:
-            raise InputError(f"K must be >= 1, got {self.K}")
-        if not 1 <= self.L <= self.K:
-            raise InputError(f"L must satisfy 1 <= L <= K, got L={self.L}, K={self.K}")
-        if self.N < 1:
-            raise InputError(f"N must be >= 1, got {self.N}")
+        require_int("K", self.K, 1)
+        require_int("L", self.L, 1, self.K)
+        require_int("N", self.N, 1)
 
 
-def require_int(name: str, value) -> None:
-    """Refuse anything but an int, bool included (an index is never a flag)."""
+def require_int(name: str, value, low: int | None = None, high: int | None = None) -> int:
+    """Return value if it is an int (bool refused: a count or index is never a
+    flag) in [low, high], else raise InputError naming it.  A bound left None
+    is not checked; a high bound needs a low one."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise InputError(f"{name} must be an int, got {value!r}")
+    if high is not None and not low <= value <= high:
+        raise InputError(f"{name}={value} outside [{low}, {high}]")
+    if low is not None and value < low:
+        raise InputError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
 def cyclic_index(i: int, K: int) -> int:
     """Map any integer to [1..K] cyclically (multiples of K map to K)."""
-    if K < 1:
-        raise InputError(f"K must be >= 1, got {K}")
-    return (i - 1) % K + 1
+    return (require_int("index i", i) - 1) % require_int("K", K, 1) + 1

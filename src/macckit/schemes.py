@@ -42,7 +42,7 @@ def random_bits(rng: random.Random, n: int) -> bytes:
 
 def split_bits(vec: bytes, parts: int) -> list[bytes]:
     """Split into equal parts; length must divide evenly."""
-    if len(vec) % parts != 0:
+    if len(vec) % require_int("parts", parts, 1) != 0:
         raise InputError(f"cannot split {len(vec)} bits into {parts} equal parts")
     size = len(vec) // parts
     return [vec[i * size : (i + 1) * size] for i in range(parts)]
@@ -55,9 +55,7 @@ def split_bits(vec: bytes, parts: int) -> list[bytes]:
 
 def access_window(k: int, params: MaccParams) -> list[int]:
     """The L consecutive cache indices user k reads, wrapping around."""
-    require_int("user index k", k)
-    if not 1 <= k <= params.K:
-        raise InputError(f"user index k={k} outside [1, K={params.K}]")
+    require_int("user index k", k, 1, params.K)
     return [cyclic_index(k + j, params.K) for j in range(params.L)]
 
 
@@ -76,8 +74,7 @@ class FileLibrary:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.F < 1:
-            raise InputError(f"F must be >= 1, got {self.F}")
+        require_int("F", self.F, 1)
         if len(self.files) != self.params.N:
             raise InputError(f"expected {self.params.N} files, got {len(self.files)}")
         for n, f in enumerate(self.files, start=1):
@@ -88,14 +85,12 @@ class FileLibrary:
 
     def file(self, n: int) -> bytes:
         """File n, 1-based."""
-        if not 1 <= n <= self.params.N:
-            raise InputError(f"file index n={n} outside [1, N={self.params.N}]")
-        return self.files[n - 1]
+        return self.files[require_int("file index n", n, 1, self.params.N) - 1]
 
     @classmethod
     def random(cls, params: MaccParams, F: int, seed: int) -> "FileLibrary":
-        if seed < 0:  # random.Random seeds with abs(seed)
-            raise InputError(f"seed must be >= 0, got {seed}")
+        require_int("F", F, 1)
+        require_int("seed", seed, 0)  # random.Random seeds with abs(seed)
         rng = random.Random(seed)
         return cls(
             params=params,
@@ -111,8 +106,9 @@ class FileLibrary:
     @classmethod
     def unit(cls, params: MaccParams, F: int, n: int, bit: int) -> "FileLibrary":
         """All-zero library except bit `bit` of file `n` (n is 1-based, bit 0-based)."""
-        if not (1 <= n <= params.N and 0 <= bit < F):
-            raise InputError(f"unit bit (n={n}, bit={bit}) outside [1, N] x [0, F)")
+        require_int("file index n", n, 1, params.N)
+        require_int("F", F, 1)
+        require_int("bit", bit, 0, F - 1)
         files = [bytearray(F) for _ in range(params.N)]
         files[n - 1][bit] = 1
         return cls(params=params, F=F, files=tuple(bytes(f) for f in files))
@@ -128,6 +124,7 @@ class CacheContents:
     caches: tuple[bytes, ...]
 
     def __post_init__(self) -> None:
+        require_int("F", self.F, 1)
         if len(self.caches) != self.params.K:
             raise InputError(f"expected {self.params.K} caches, got {len(self.caches)}")
         size = self.M * self.F
@@ -139,9 +136,7 @@ class CacheContents:
 
     def cache(self, i: int) -> bytes:
         """Cache i, 1-based."""
-        if not 1 <= i <= self.params.K:
-            raise InputError(f"cache index i={i} outside [1, K={self.params.K}]")
-        return self.caches[i - 1]
+        return self.caches[require_int("cache index i", i, 1, self.params.K) - 1]
 
 
 @dataclass(frozen=True)
@@ -164,8 +159,9 @@ def all_demand_vectors(params: MaccParams):
 def validate_demand(d: Demand, params: MaccParams) -> None:
     if len(d) != params.K:
         raise InputError(f"demand vector has {len(d)} entries, expected K={params.K}")
-    if any(not 1 <= x <= params.N for x in d):
-        raise InputError(f"demand entries must lie in [1, N={params.N}]: {d}")
+    # require_int's rule, inlined: this runs once per delivered demand
+    if any(not isinstance(x, int) or isinstance(x, bool) or not 1 <= x <= params.N for x in d):
+        raise InputError(f"demand entries must be ints in [1, N={params.N}]: {d}")
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +174,8 @@ class Scheme(abc.ABC):
 
     decode() receives only the transmission and the caches in the user's
     cyclic access window, never the library.  Every place() and deliver()
-    runs check_library first.
+    runs check_library first, and every deliver() then validate_demand,
+    which refuses a demand that is not K ints in [1, N] (bool included).
     """
 
     id: str
@@ -301,7 +298,8 @@ class ZeroMemoryScheme(Scheme):
     def deliver(self, library: FileLibrary, demand: Demand) -> Transmission:
         self.check_library(library)
         validate_demand(demand, library.params)
-        payload = b"".join(library.file(n) for n in sorted(set(demand)))
+        # validate_demand checked every n, so index the files directly
+        payload = b"".join(library.files[n - 1] for n in sorted(set(demand)))
         return Transmission.of(payload, library.F)
 
     def decode(

@@ -158,6 +158,19 @@ class TestImprovedBound:
             improved_term(P323, 4, 1, 0)
         with pytest.raises(ValueError):
             improved_term(P323, 1, 4, 0)  # ceil(3/1) = 3
+        for s, l in ((True, 1), (1, True), (1.5, 1), (1, 1.0)):
+            with pytest.raises(bounds.InputError, match="must be an int"):
+                improved_term(P323, s, l, 0)
+        for term in (cutset_term, hkd2_lemma3_term):
+            for s in (True, 1.0):
+                with pytest.raises(bounds.InputError, match="must be an int"):
+                    term(P323, s, 0)
+        params = MaccParams(10, 3, 10)  # (s, t, b) = (1, 5, 1) is in lemma2's space
+        for s, t, b in ((1, 5, True), (1, 5, 1.0), (True, 5, 1), (1, 5.0, 1)):
+            with pytest.raises(bounds.InputError, match="must be an int"):
+                hkd_lemma2_term(params, s, t, b, 0)
+            with pytest.raises(bounds.InputError, match="must be an int"):
+                evaluate_witness(params, "best", {"family": "hkd_lemma2", "s": s, "t": t, "b": b}, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +325,9 @@ class TestSweepCurve:
             sweep_curve(P323, "nope", [F(0), F(1)])
         with pytest.raises(ValueError):
             uniform_grid(1, 1, 5)
+        for count in (2.5, 3.0, True):
+            with pytest.raises(bounds.InputError, match="must be an int"):
+                uniform_grid(0, 1, count)
 
 
 class TestVerifyDominance:

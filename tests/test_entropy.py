@@ -45,6 +45,11 @@ class TestJointPmf:
             JointPmf((2,) * 17, np.zeros((2,) * 17))  # 2^17 outcomes
         with pytest.raises(ValueError):
             JointPmf((2, 0), np.zeros((2, 0)))
+        for sizes in ((True, 2), (2.0, 2)):  # refused, not coerced
+            with pytest.raises(InputError, match="must be an int"):
+                JointPmf(sizes, np.full((1, 2), 0.5))
+        with pytest.raises(InputError, match="must be an int"):
+            JointPmf.random((2.5, 2), np.random.default_rng(0))
 
     def test_rejects_nan_tables(self):
         # NaN compares False against both the sign and the sum check
@@ -100,7 +105,7 @@ class TestMarginalEntropy:
             marginal_entropy(pmf, [0])
         with pytest.raises(ValueError):
             marginal_entropy(pmf, [3])
-        for subset in ([1.5], [1, 1.5], [True]):
+        for subset in ([1.5], [1, 1.5], [True], [2.0]):
             with pytest.raises(InputError, match="must be an int"):
                 marginal_entropy(pmf, subset)
 
@@ -145,7 +150,7 @@ class TestWindowEntropySum:
             window_entropy_sum(pmf, 0)
         with pytest.raises(ValueError):
             window_entropy_sum(pmf, 3)
-        for s in (1.5, True):
+        for s in (1.5, True, 2.0):
             with pytest.raises(InputError, match="must be an int"):
                 window_entropy_sum(pmf, s)
 
@@ -241,6 +246,12 @@ class TestBatches:
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError):
             run_sliding_window_batch(3, 2, 0, seed=0)
+        for K, alphabet, trials, seed in (
+            (3, 2.0, 3, 0), (3.0, 2, 3, 0), (3, 2, True, 0), (3, 2, 3.0, 0), (3, 2, 3, 1.5), (3, 2, 3, True)
+        ):
+            for run in (run_sliding_window_batch, run_conditional_window_batch):
+                with pytest.raises(InputError, match="must be an int"):
+                    run(K, alphabet, trials, seed)
 
     def test_negative_seed_refused_by_name(self):
         with pytest.raises(InputError, match="seed must be >= 0, got -1"):

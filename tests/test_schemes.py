@@ -44,6 +44,9 @@ class TestCyclicIndexing:
         for k in (1.5, True):
             with pytest.raises(InputError, match="must be an int"):
                 access_window(k, P323)
+        for i, K in ((1.5, 3), (True, 3), (1, 3.0)):
+            with pytest.raises(InputError, match="must be an int"):
+                cyclic_index(i, K)
 
     def test_cyclic_index_needs_positive_K(self):
         with pytest.raises(InputError):
@@ -57,6 +60,9 @@ class TestBitHelpers:
         assert split_bits(a, 2) == [bytes([1, 0]), bytes([1, 1])]
         with pytest.raises(ValueError):
             split_bits(a, 3)
+        for parts in (0, 2.0, True):
+            with pytest.raises(InputError):
+                split_bits(a, parts)
         with pytest.raises(ValueError):
             xor_bits(a, a[:2])
 
@@ -76,7 +82,7 @@ class TestBitHelpers:
         with pytest.raises(InputError, match="length mismatch"):
             xor_bits(a, b)
 
-    def test_library_validation(self):
+    def test_library_validation(self, monkeypatch):
         with pytest.raises(ValueError):
             FileLibrary(P323, 4, (bytes(4), bytes(4)))  # only 2 files
         with pytest.raises(ValueError):
@@ -86,8 +92,17 @@ class TestBitHelpers:
         # random.Random(-1) would silently reuse seed 1's stream
         with pytest.raises(InputError, match="seed must be >= 0, got -1"):
             FileLibrary.random(P323, 12, seed=-1)
+        monkeypatch.setattr("macckit.schemes.random_bits", None)  # a draw raises TypeError
+        for F_, seed in ((True, 0), (12.0, 0), (0, 0), (12, 1.5), (12, True)):
+            with pytest.raises(InputError):
+                FileLibrary.random(P323, F_, seed)
+        with pytest.raises(InputError):
+            FileLibrary(P323, True, (bytes([1]),) * 3)
+        for F_ in (0, 12.0, True):
+            with pytest.raises(InputError):
+                CacheContents(params=P323, M=F(0), F=F_, caches=(b"",) * 3)
 
-    @pytest.mark.parametrize("index", [0, 4])
+    @pytest.mark.parametrize("index", [0, 4, 1.5, True])
     def test_file_and_cache_indices_refused(self, index):
         # K = N = 3: index 0 would wrap to the last entry
         library = FileLibrary.random(P323, 12, seed=11)
@@ -109,10 +124,12 @@ class TestBitHelpers:
         with pytest.raises(error):
             CacheContents(params=P323, M=M, F=12, caches=caches)
 
-    @pytest.mark.parametrize("demand", [(1, 2), (1, 2, 4)])
+    @pytest.mark.parametrize("demand", [(1, 2), (1, 2, 4), (1.5, 1, 1), (True, 1, 1), (1, 2, 3.0)])
     def test_deliver_refuses_bad_demand(self, demand):
-        with pytest.raises(InputError):
-            scheme_appendix_b().deliver(FileLibrary.random(P323, 12, seed=11), demand)
+        library = FileLibrary.random(P323, 12, seed=11)
+        for scheme in (scheme_appendix_b(), scheme_full_access_corner_323(), scheme_zero_memory()):
+            with pytest.raises(InputError):
+                scheme.deliver(library, demand)
 
 
 class TestCodedPlacement323:
@@ -295,7 +312,7 @@ class TestLinearity:
                 library = FileLibrary.unit(P323, 12, n, bit)
                 assert verify_scheme(scheme, library).passed, (n, bit)
 
-    @pytest.mark.parametrize("n,bit", [(0, 0), (4, 0), (1, -1), (1, 12)])
+    @pytest.mark.parametrize("n,bit", [(0, 0), (4, 0), (1, -1), (1, 12), (True, 0), (1, True), (1, 0.0)])
     def test_unit_library_refuses_out_of_range(self, n, bit):
         with pytest.raises(InputError):
             FileLibrary.unit(P323, 12, n, bit)
