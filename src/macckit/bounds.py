@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence, Union
 
-from .params import InputError, MaccParams, require_int
+from .params import InputError, InputTypeError, MaccParams, require_int
 from .serialize import fraction_str
 
 Rational = Fraction
@@ -35,10 +35,10 @@ MemoryLike = Union[int, str, Fraction]
 def as_memory(M: MemoryLike) -> Fraction:
     """Coerce a memory value to an exact Fraction.
 
-    Floats are rejected: every value in this module must stay exact.
+    Floats raise InputTypeError: every value in this module must stay exact.
     """
     if isinstance(M, float):
-        raise TypeError("memory must be exact; pass an int, Fraction, or string like '2/3'")
+        raise InputTypeError("memory must be exact; pass an int, Fraction, or string like '2/3'")
     return Fraction(M)
 
 
@@ -206,6 +206,8 @@ def _term_value(family: Family, params: MaccParams, M: MemoryLike, **witness: in
     m = as_memory(M)
     try:
         intercept, slope = family.coeffs(params, **witness)
+    except InputError:  # a witness value coeffs refused names itself
+        raise
     except TypeError as exc:  # a missing, unknown or extra witness key
         raise InputError(f"witness {witness} does not fit {family.id}: {exc}") from exc
     return intercept - slope * m

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .params import InputError, cyclic_index, require_int
+from .params import InputError, InputTypeError, cyclic_index, require_int
 
 DEFAULT_TOL = 1e-9
 NORMALIZATION_TOL = 1e-12
@@ -167,8 +167,14 @@ class WindowCheckReport:
         return min(self.margins)
 
 
-def _check_tol(tol: float) -> None:
-    # a NaN tolerance would compare False against every margin and pass all checks
+def _require_checkable(K: int, alphabet: int, tol: float) -> None:
+    """Refuse a window check, single or batched, that could only pass: under
+    two window variables, none with two values (all entropies 0), or a tol
+    that is not a finite positive int or float (a NaN fails no margin)."""
+    require_int("K", K, 2)
+    require_int("alphabet", alphabet, 2)
+    if not isinstance(tol, (int, float)) or isinstance(tol, bool):
+        raise InputTypeError(f"tolerance must be an int or float, got {tol!r}")
     if not 0 < tol < math.inf:
         raise InputError(f"tolerance must be finite and positive, got {tol}")
 
@@ -180,7 +186,9 @@ def _failures(margins: np.ndarray, tol: float) -> list[tuple[int, int, float]]:
 
 
 def _window_report(pmf: JointPmf, conditional: bool, tol: float) -> WindowCheckReport:
-    """The check of one pmf: a batch of one."""
+    """The check of one pmf: a batch of one, refused as a batch would be."""
+    window = pmf.alphabet_sizes[:-1] if conditional else pmf.alphabet_sizes
+    _require_checkable(len(window), max(window, default=0), tol)
     sequences, margins = _sequences(pmf.probs[np.newaxis], conditional)
     return WindowCheckReport(
         K=sequences.shape[1],
@@ -191,21 +199,15 @@ def _window_report(pmf: JointPmf, conditional: bool, tol: float) -> WindowCheckR
 
 
 def check_sliding_window(pmf: JointPmf, tol: float = DEFAULT_TOL) -> WindowCheckReport:
-    """Verify the window averages are non-increasing in window length."""
-    _check_tol(tol)
-    if pmf.K < 2:
-        # one variable has no pair of window lengths to compare
-        raise InputError("need at least two variables")
+    """Verify the window averages are non-increasing in window length.
+    Refuses what a batch refuses: K < 2, no variable with two values, bad tol."""
     return _window_report(pmf, False, tol)
 
 
 def check_conditional_window(pmf: JointPmf, tol: float = DEFAULT_TOL) -> WindowCheckReport:
     """Verify the conditional form on a pmf whose last variable conditions
     the rest: every scaled conditional window average dominates the full-set
-    conditional entropy."""
-    _check_tol(tol)
-    if pmf.K < 2:
-        raise InputError("need at least one conditioned variable plus the conditioner")
+    conditional entropy.  Refuses conditioned variables as check_sliding_window does."""
     return _window_report(pmf, True, tol)
 
 
@@ -242,13 +244,11 @@ class BatchReport:
 def _batch(kind: str, K: int, alphabet: int, trials: int, seed: int, tol: float) -> BatchReport:
     """trials random pmfs over K variables (plus the conditioner if
     conditional), checked in stacked chunks of at most CHUNK_FLOATS floats;
-    one RNG stream keyed by seed makes the batch reproducible.  K or
-    alphabet below 2 could only pass: refused."""
-    require_int("K", K, 2)
-    require_int("alphabet", alphabet, 2)
+    one RNG stream keyed by seed makes the batch reproducible.  Refuses
+    what _require_checkable refuses, as the single checks do."""
+    _require_checkable(K, alphabet, tol)
     require_int("trials", trials, 1)
     require_int("seed", seed, 0)
-    _check_tol(tol)
     conditional = kind == "conditional"
     sizes = _sizes((alphabet,) * (K + 1 if conditional else K))
     chunk = CHUNK_FLOATS // math.prod(sizes)

@@ -9,6 +9,10 @@ class InputError(ValueError):
     """A caller passed a value the package refuses (the CLI exits 2)."""
 
 
+class InputTypeError(InputError, TypeError):
+    """A value of the wrong type; also a TypeError, as Python's own is."""
+
+
 @dataclass(frozen=True)
 class MaccParams:
     """The (K, L, N) multi-access network triple.
@@ -22,10 +26,6 @@ class MaccParams:
     N: int
 
     def __post_init__(self) -> None:
-        for name in ("K", "L", "N"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise TypeError(f"{name} must be an int, got {value!r}")
         require_int("K", self.K, 1)
         require_int("L", self.L, 1, self.K)
         require_int("N", self.N, 1)
@@ -33,10 +33,10 @@ class MaccParams:
 
 def require_int(name: str, value, low: int | None = None, high: int | None = None) -> int:
     """Return value if it is an int (bool refused: a count or index is never a
-    flag) in [low, high], else raise InputError naming it.  A bound left None
-    is not checked; a high bound needs a low one."""
+    flag) in [low, high], else raise InputError naming it (InputTypeError if
+    not an int).  A bound left None is not checked; a high needs a low one."""
     if not isinstance(value, int) or isinstance(value, bool):
-        raise InputError(f"{name} must be an int, got {value!r}")
+        raise InputTypeError(f"{name} must be an int, got {value!r}")
     if high is not None and not low <= value <= high:
         raise InputError(f"{name}={value} outside [{low}, {high}]")
     if low is not None and value < low:

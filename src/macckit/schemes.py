@@ -174,8 +174,7 @@ class Scheme(abc.ABC):
 
     decode() receives only the transmission and the caches in the user's
     cyclic access window, never the library.  Every place() and deliver()
-    runs check_library first, and every deliver() then validate_demand,
-    which refuses a demand that is not K ints in [1, N] (bool included).
+    makes one check_library call first; deliver() passes its demand too.
     """
 
     id: str
@@ -184,13 +183,17 @@ class Scheme(abc.ABC):
     #: the one network the scheme is defined for; None means every network
     network: MaccParams | None = None
 
-    def check_library(self, library: FileLibrary) -> None:
+    def check_library(self, library: FileLibrary, demand: Demand | None = None) -> None:
+        """Refuse a library of another network or with F not divisible by the
+        subpacketization, then a given demand that validate_demand refuses."""
         if self.network not in (None, library.params):
             raise InputError(f"scheme {self.id!r} is not defined for {library.params}")
         if library.F % self.subpacketization != 0:
             raise SubpacketizationError(
                 f"scheme {self.id!r} needs F divisible by {self.subpacketization}, got F={library.F}"
             )
+        if demand is not None:
+            validate_demand(demand, library.params)
 
     @abc.abstractmethod
     def place(self, library: FileLibrary) -> CacheContents:
@@ -245,8 +248,7 @@ class CodedPlacementScheme323(Scheme):
         return cyclic_index(j - 1, 3)
 
     def deliver(self, library: FileLibrary, demand: Demand) -> Transmission:
-        self.check_library(library)
-        validate_demand(demand, library.params)
+        self.check_library(library, demand)
         payload = b"".join(
             self._subfile(library, demand[j - 1], self._transmit_index(j))
             for j in (1, 2, 3)
@@ -296,9 +298,8 @@ class ZeroMemoryScheme(Scheme):
         )
 
     def deliver(self, library: FileLibrary, demand: Demand) -> Transmission:
-        self.check_library(library)
-        validate_demand(demand, library.params)
-        # validate_demand checked every n, so index the files directly
+        self.check_library(library, demand)
+        # check_library checked every n, so index the files directly
         payload = b"".join(library.files[n - 1] for n in sorted(set(demand)))
         return Transmission.of(payload, library.F)
 
@@ -349,24 +350,13 @@ class FullAccessCornerScheme323(Scheme):
         return a + b
 
     def deliver(self, library: FileLibrary, demand: Demand) -> Transmission:
-        self.check_library(library)
-        validate_demand(demand, library.params)
+        self.check_library(library, demand)
         return Transmission.of(b"", library.F)
 
 
-def scheme_appendix_b() -> Scheme:
-    """The coded-placement (3, 2, 3) scheme achieving (M, R) = (2/3, 1)."""
-    return CodedPlacementScheme323()
-
-
-def scheme_zero_memory() -> Scheme:
-    """The trivial scheme achieving (0, min(K, N)) on any network."""
-    return ZeroMemoryScheme()
-
-
-def scheme_full_access_corner_323() -> Scheme:
-    """The coded-placement (3, 2, 3) scheme achieving (M, R) = (3/2, 0)."""
-    return FullAccessCornerScheme323()
+scheme_appendix_b = CodedPlacementScheme323
+scheme_zero_memory = ZeroMemoryScheme
+scheme_full_access_corner_323 = FullAccessCornerScheme323
 
 
 #: Every scheme by id (the order of the CLI's --scheme choices).

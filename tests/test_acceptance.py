@@ -77,25 +77,17 @@ def test_criterion_3_corner_scheme_rate_zero():
 def family_values_on_grid():
     """Exact cutset/improved/lemma3 values on a 51-point grid over [0, N/L]
     for every parameter triple; shared by criteria 4 and 5."""
-    from macckit.bounds import FAMILIES, _maximize, _terms
-
     results = {}
     for K, L, N in PARAM_TRIPLES:
         params = MaccParams(K, L, N)
         grid = uniform_grid(0, F(N, L), 51)
-        cutset_terms = list(_terms(FAMILIES["cutset_thm1"], params))
-        improved_terms = list(_terms(FAMILIES["improved_thm2"], params))
-        lemma3_terms = list(_terms(FAMILIES["hkd2_lemma3"], params))
-        rows = [
-            (
-                m,
-                _maximize(improved_terms, m).R,
-                _maximize(cutset_terms, m).R,
-                _maximize(lemma3_terms, m).R,
-            )
-            for m in grid
+        improved, cutset, lemma3 = (
+            sweep_curve(params, bound_id, grid).points
+            for bound_id in ("improved_thm2", "cutset_thm1", "hkd2_lemma3")
+        )
+        results[(K, L, N)] = [
+            (m, i.R, c.R, l3.R) for m, i, c, l3 in zip(grid, improved, cutset, lemma3, strict=True)
         ]
-        results[(K, L, N)] = rows
     return results
 
 

@@ -111,6 +111,9 @@ class TestCutsetBound:
             cutset_bound(P323, 0.5)
         with pytest.raises(TypeError):
             evaluate_witness(P323, "cutset_thm1", {"s": 1}, 0.5)
+        for memory in (lambda: cutset_bound(P323, 0.5), lambda: bounds.as_memory(0.5)):
+            with pytest.raises(bounds.InputError, match="memory must be exact"):
+                memory()
 
     def test_term_outside_space_rejected(self):
         with pytest.raises(bounds.InputError):
@@ -171,6 +174,10 @@ class TestImprovedBound:
                 hkd_lemma2_term(params, s, t, b, 0)
             with pytest.raises(bounds.InputError, match="must be an int"):
                 evaluate_witness(params, "best", {"family": "hkd_lemma2", "s": s, "t": t, "b": b}, 0)
+        # coeffs' own refusal reaches the caller unwrapped, as an InputError and a TypeError
+        with pytest.raises(TypeError, match=r"^s must be an int, got 1\.5$") as refused:
+            cutset_term(P323, 1.5, 0)
+        assert isinstance(refused.value, bounds.InputError)
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,11 @@ class TestSlidingWindowCheck:
             check_sliding_window(JointPmf.independent_uniform((2,)))
         with pytest.raises(ValueError):
             run_sliding_window_batch(1, 2, 2, seed=0)
+        # no variable with two values: every entropy is 0, as a batch of alphabet 1
+        with pytest.raises(InputError, match="^alphabet must be >= 2, got 1$"):
+            check_sliding_window(JointPmf.independent_uniform((1, 1, 1)))
+        with pytest.raises(InputError, match="^alphabet must be >= 2, got 1$"):
+            check_conditional_window(JointPmf.independent_uniform((1, 1, 2)))
 
     def test_bad_tolerance(self):
         for tol in (0.0, math.nan, math.inf):
@@ -182,6 +187,14 @@ class TestSlidingWindowCheck:
                 check_sliding_window(JointPmf.independent_uniform((2, 2)), tol=tol)
             with pytest.raises(ValueError):
                 check_conditional_window(JointPmf.independent_uniform((2, 2)), tol=tol)
+        # a bool is not a tolerance: True would run as 1.0 and report "tol": true
+        pmf = JointPmf.independent_uniform((2, 2, 2))
+        for check in (check_sliding_window, check_conditional_window):
+            with pytest.raises(InputError, match="tolerance"):
+                check(pmf, tol=True)
+        for run in (run_sliding_window_batch, run_conditional_window_batch):
+            with pytest.raises(InputError, match="tolerance"):
+                run(3, 2, 3, 0, tol=True)
 
 
 class TestConditionalWindowCheck:
@@ -223,6 +236,11 @@ class TestConditionalWindowCheck:
     def test_needs_a_conditioned_variable(self):
         with pytest.raises(ValueError):
             check_conditional_window(JointPmf.independent_uniform((2,)))
+        # one conditioned variable leaves one margin, the full set against itself
+        rng = np.random.default_rng(5)
+        for pmf in (JointPmf.independent_uniform((2, 2)), JointPmf.random((3, 5), rng)):
+            with pytest.raises(InputError, match="^K must be >= 2, got 1$"):
+                check_conditional_window(pmf)
 
 
 class TestBatches:

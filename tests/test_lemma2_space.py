@@ -13,7 +13,6 @@ from macckit.bounds import (
     BEST,
     FAMILIES,
     BoundPoint,
-    _maximize,
     _terms,
     evaluate_witness,
     hkd_lemma2_term,
@@ -54,19 +53,30 @@ def full_terms(params, bound_id):
     ]
 
 
+def first_maximum(terms, M):
+    """The maximum of intercept - slope * M over the terms, with the witness
+    of the first term in list order that reaches it."""
+    best, best_value = None, None
+    for witness, intercept, slope in terms:
+        value = intercept - slope * M
+        if best_value is None or value > best_value:
+            best, best_value = witness, value
+    return BoundPoint(M=M, R=best_value, witness=dict(best))
+
+
 def oracle_point(terms, bound_id, M):
-    point = _maximize(terms, M)
+    point = first_maximum(terms, M)
     if bound_id == BEST and point.R < 0:
         return BoundPoint(M, F(0), {**point.witness, "clamped": True})
     return point
 
 
 def breakpoints(terms, x, y):
-    """Every breakpoint of max(terms) on [x, y], found from _maximize alone."""
+    """Every breakpoint of max(terms) on [x, y], found from first_maximum alone."""
     lines = {tuple(w.items()): (a, b) for w, a, b in terms}
 
     def line_at(M):
-        point = _maximize(terms, M)
+        point = first_maximum(terms, M)
         return lines[tuple(point.witness.items())], point.R
 
     def value(line, M):

@@ -1,7 +1,7 @@
 import pytest
 
 from macckit import MaccParams, SubpacketizationError
-from macckit.params import InputError
+from macckit.params import InputError, InputTypeError
 
 
 def test_valid_triples():
@@ -22,6 +22,8 @@ def test_one_refusal_type():
     assert issubclass(SubpacketizationError, InputError)
     with pytest.raises(InputError):
         MaccParams(3, 4, 3)
+    # a wrong type is refused as input, and still reads as Python's TypeError
+    assert issubclass(InputTypeError, InputError) and issubclass(InputTypeError, TypeError)
 
 
 def test_non_integer_rejected():
@@ -29,6 +31,9 @@ def test_non_integer_rejected():
         MaccParams(3.0, 2, 3)
     with pytest.raises(TypeError):
         MaccParams(3, True, 3)
+    for K, L in ((3.0, 2), (3, True)):
+        with pytest.raises(InputError, match="must be an int"):
+            MaccParams(K, L, 3)
 
 
 def test_frozen_and_hashable():

@@ -130,6 +130,8 @@ class TestBitHelpers:
         for scheme in (scheme_appendix_b(), scheme_full_access_corner_323(), scheme_zero_memory()):
             with pytest.raises(InputError):
                 scheme.deliver(library, demand)
+            with pytest.raises(InputError):
+                scheme.check_library(library, demand)
 
 
 class TestCodedPlacement323:
