@@ -302,11 +302,19 @@ class TestLinearity:
     """XOR schemes are linear; passing on a spanning set of libraries is
     strong evidence for all libraries.  Sampled, not assumed."""
 
-    @pytest.mark.parametrize("factory", [scheme_appendix_b, scheme_full_access_corner_323])
+    @pytest.mark.parametrize(
+        "factory",
+        [scheme_appendix_b, scheme_full_access_corner_323],
+        ids=["scheme_appendix_b", "scheme_full_access_corner_323"],
+    )
     def test_zero_library(self, factory):
         assert verify_scheme(factory(), FileLibrary.zeros(P323, 12)).passed
 
-    @pytest.mark.parametrize("factory", [scheme_appendix_b, scheme_full_access_corner_323])
+    @pytest.mark.parametrize(
+        "factory",
+        [scheme_appendix_b, scheme_full_access_corner_323],
+        ids=["scheme_appendix_b", "scheme_full_access_corner_323"],
+    )
     def test_all_unit_libraries(self, factory):
         scheme = factory()
         for n in (1, 2, 3):
