@@ -23,23 +23,12 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence
 
-from .params import InputError, InputTypeError, MaccParams, require_int
+from .params import InputError, MaccParams, MemoryLike, as_memory, require_int
 from .serialize import fraction_str
 
 Rational = Fraction
-MemoryLike = Union[int, str, Fraction]
-
-
-def as_memory(M: MemoryLike) -> Fraction:
-    """Coerce a memory value to an exact Fraction.
-
-    Floats raise InputTypeError: every value in this module must stay exact.
-    """
-    if isinstance(M, float):
-        raise InputTypeError("memory must be exact; pass an int, Fraction, or string like '2/3'")
-    return Fraction(M)
 
 
 @dataclass(frozen=True)

@@ -34,11 +34,10 @@ def parse_grid(spec: str) -> list[Fraction]:
     if len(pieces) != 3:
         raise InputError(f"grid must look like start:stop:count, got {spec!r}")
     try:
-        start, stop = Fraction(pieces[0]), Fraction(pieces[1])
         count = int(pieces[2])
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise InputError(f"bad grid {spec!r}: {exc}") from exc
-    return bounds.uniform_grid(start, stop, count)
+    return bounds.uniform_grid(pieces[0], pieces[1], count)
 
 
 def parse_families(spec: str) -> list[str]:
@@ -71,11 +70,7 @@ def _write_text(path: Path, write) -> None:
         with open(path, "w", encoding="utf-8", newline="") as stream:
             write(stream)
     except OSError as exc:
-        raise IOFailure(f"cannot write {path}: {exc}") from exc
-
-
-class IOFailure(OSError):
-    """Output file could not be written (exit 3)."""
+        raise OSError(f"cannot write {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ def _sizes(alphabet_sizes: Sequence[int]) -> tuple[int, ...]:
     sizes = tuple(require_int("alphabet size", a, 1) for a in alphabet_sizes)
     if not sizes:
         raise InputError("alphabet sizes must be non-empty")
-    if math.prod(sizes) > MAX_OUTCOMES:
+    if len(sizes) - sizes.count(1) > 16 or math.prod(sizes) > MAX_OUTCOMES:  # 2**17 > MAX_OUTCOMES
         raise InputError(f"product alphabet exceeds {MAX_OUTCOMES} outcomes")
     return sizes
 
@@ -167,12 +167,12 @@ class WindowCheckReport:
         return min(self.margins)
 
 
-def _require_checkable(K: int, alphabet: int, tol: float) -> None:
-    """Refuse a window check, single or batched, that could only pass: under
-    two window variables, none with two values (all entropies 0), or a tol
-    that is not a finite positive int or float (a NaN fails no margin)."""
-    require_int("K", K, 2)
-    require_int("alphabet", alphabet, 2)
+def _require_checkable(window_sizes: Sequence[int], tol: float) -> None:
+    """Refuse a window check, single or batched, that could only pass: under two
+    window variables (K), under two with two or more values (second-largest
+    alphabet), or a tol not a finite positive int or float (NaN fails no margin)."""
+    require_int("K", len(window_sizes), 2)
+    require_int("alphabet", sorted(require_int("alphabet", a) for a in window_sizes)[-2], 2)
     if not isinstance(tol, (int, float)) or isinstance(tol, bool):
         raise InputTypeError(f"tolerance must be an int or float, got {tol!r}")
     if not 0 < tol < math.inf:
@@ -187,8 +187,7 @@ def _failures(margins: np.ndarray, tol: float) -> list[tuple[int, int, float]]:
 
 def _window_report(pmf: JointPmf, conditional: bool, tol: float) -> WindowCheckReport:
     """The check of one pmf: a batch of one, refused as a batch would be."""
-    window = pmf.alphabet_sizes[:-1] if conditional else pmf.alphabet_sizes
-    _require_checkable(len(window), max(window, default=0), tol)
+    _require_checkable(pmf.alphabet_sizes[:-1] if conditional else pmf.alphabet_sizes, tol)
     sequences, margins = _sequences(pmf.probs[np.newaxis], conditional)
     return WindowCheckReport(
         K=sequences.shape[1],
@@ -200,7 +199,7 @@ def _window_report(pmf: JointPmf, conditional: bool, tol: float) -> WindowCheckR
 
 def check_sliding_window(pmf: JointPmf, tol: float = DEFAULT_TOL) -> WindowCheckReport:
     """Verify the window averages are non-increasing in window length.
-    Refuses what a batch refuses: K < 2, no variable with two values, bad tol."""
+    Refuses what a batch refuses: under two variables with two values, bad tol."""
     return _window_report(pmf, False, tol)
 
 
@@ -246,7 +245,9 @@ def _batch(kind: str, K: int, alphabet: int, trials: int, seed: int, tol: float)
     conditional), checked in stacked chunks of at most CHUNK_FLOATS floats;
     one RNG stream keyed by seed makes the batch reproducible.  Refuses
     what _require_checkable refuses, as the single checks do."""
-    _require_checkable(K, alphabet, tol)
+    _require_checkable((alphabet,) * min(require_int("K", K, 2), 17), tol)
+    if K > 16:  # 2**17 outcomes: refused before a K-long tuple is built
+        raise InputError(f"product alphabet exceeds {MAX_OUTCOMES} outcomes")
     require_int("trials", trials, 1)
     require_int("seed", seed, 0)
     conditional = kind == "conditional"

@@ -1,8 +1,11 @@
-"""Network parameters shared by the bound and simulation modules."""
+"""Network parameters and the exact-input rules every module shares."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+
+MemoryLike = int | str | Fraction
 
 
 class InputError(ValueError):
@@ -42,6 +45,21 @@ def require_int(name: str, value, low: int | None = None, high: int | None = Non
     if low is not None and value < low:
         raise InputError(f"{name} must be >= {low}, got {value}")
     return value
+
+
+def as_memory(M: MemoryLike) -> Fraction:
+    """M as an exact Fraction: the package's one reader of rationals.  An int,
+    a Fraction or a string like '2/3' passes; a malformed string or a zero
+    denominator is an InputError, any other type (a float, bool, None or
+    numpy scalar) an InputTypeError."""
+    if isinstance(M, str):
+        try:
+            return Fraction(M)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"memory {M!r} is not a rational like '2/3'") from exc
+    if not isinstance(M, (int, Fraction)) or isinstance(M, bool):
+        raise InputTypeError(f"memory must be exact; pass an int, Fraction or '2/3', got {M!r}")
+    return Fraction(M)
 
 
 def cyclic_index(i: int, K: int) -> int:

@@ -6,8 +6,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .bounds import MemoryLike, as_memory
-from .params import InputError
+from .params import InputError, MemoryLike, as_memory
 
 Point = tuple[Fraction, Fraction]
 

@@ -31,6 +31,7 @@ from macckit.bounds import (
     hkd_lemma2_term,
     improved_term,
 )
+from macckit.params import InputTypeError
 
 P323 = MaccParams(3, 2, 3)
 
@@ -114,6 +115,18 @@ class TestCutsetBound:
         for memory in (lambda: cutset_bound(P323, 0.5), lambda: bounds.as_memory(0.5)):
             with pytest.raises(bounds.InputError, match="memory must be exact"):
                 memory()
+
+    def test_memory_refusals(self):
+        # as_memory takes an int, a Fraction or a fraction string and nothing else
+        for memory in (True, None):
+            with pytest.raises(InputTypeError, match="memory must be exact"):
+                cutset_bound(P323, memory)
+        with pytest.raises(InputTypeError):
+            uniform_grid(0, True, 3)
+        for memory in ("x", "1/0", "inf"):
+            with pytest.raises(bounds.InputError, match="is not a rational"):
+                cutset_bound(P323, memory)
+        assert cutset_bound(P323, "2/3") == cutset_bound(P323, F(2, 3))
 
     def test_term_outside_space_rejected(self):
         with pytest.raises(bounds.InputError):

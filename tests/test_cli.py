@@ -21,6 +21,7 @@ from macckit.cli import (
     parse_families,
     parse_grid,
 )
+from macckit.params import InputError
 
 
 def run_cli(*argv):
@@ -119,10 +120,11 @@ class TestCompareCommand:
         assert run_cli("compare", "--K", "3", "--L", "2", "--N", "3",
                        "--grid", "0:3/2:1", "--out", str(tmp_path / "r.json")) == EXIT_USAGE
 
-    def test_io_failure_exit_3(self, tmp_path):
+    def test_io_failure_exit_3(self, tmp_path, capsys):
         missing = tmp_path / "no" / "such" / "dir" / "r.json"
         assert run_cli("compare", "--K", "3", "--L", "2", "--N", "3",
                        "--out", str(missing)) == EXIT_IO
+        assert capsys.readouterr().err.startswith(f"error: cannot write {missing}: ")
 
     def test_violation_exit_1(self, tmp_path, monkeypatch):
         import dataclasses
@@ -246,6 +248,11 @@ class TestParsers:
             parse_grid("0:1:0")
         with pytest.raises(ValueError):
             parse_grid("a:b:c")
+
+    def test_grid_endpoints_are_read_by_as_memory(self):
+        for spec, message in (("0:1/0:3", "'1/0' is not a rational"), ("x:1:3", "'x' is not a rational")):
+            with pytest.raises(InputError, match=message):
+                parse_grid(spec)
 
     def test_family_aliases(self):
         assert parse_families("cutset,improved") == ["cutset_thm1", "improved_thm2"]

@@ -180,6 +180,13 @@ class TestSlidingWindowCheck:
             check_sliding_window(JointPmf.independent_uniform((1, 1, 1)))
         with pytest.raises(InputError, match="^alphabet must be >= 2, got 1$"):
             check_conditional_window(JointPmf.independent_uniform((1, 1, 2)))
+        # one window variable with two values: each scaled average is its entropy
+        rng = np.random.default_rng(2)
+        for check, sizes in (
+            (check_sliding_window, (2, 1, 1)), (check_sliding_window, (3, 1)), (check_conditional_window, (2, 1, 2))
+        ):
+            with pytest.raises(InputError, match="^alphabet must be >= 2, got 1$"):
+                check(JointPmf.random(sizes, rng))
 
     def test_bad_tolerance(self):
         for tol in (0.0, math.nan, math.inf):
@@ -299,6 +306,25 @@ class TestBatches:
         with pytest.raises(InputError, match="exceeds"):
             JointPmf.random((300,) * 3, rng)  # 27M outcomes, never allocated
         assert rng.bit_generator.state == state
+
+    def test_many_variables_refused_from_17_sizes(self, monkeypatch):
+        # 17 sizes of two or more already exceed MAX_OUTCOMES; a longer input is
+        # refused without forming its product or handing it to _sizes
+        sizes = entropy._sizes
+
+        def bounded(alphabet_sizes):
+            assert len(alphabet_sizes) <= 17, f"_sizes given {len(alphabet_sizes)} sizes"
+            return sizes(alphabet_sizes)
+
+        monkeypatch.setattr(entropy, "_sizes", bounded)
+        for run in (run_sliding_window_batch, run_conditional_window_batch):
+            with pytest.raises(InputError, match="exceeds"):
+                run(10**6, 2, 1, 0)
+            with pytest.raises(InputError, match="^alphabet must be >= 2, got 1$"):
+                run(10**6, 1, 1, 0)
+        with pytest.raises(InputError, match="exceeds"):
+            sizes((2,) * 10**6)
+        assert sizes((1,) * 100 + (2,) * 16) == (1,) * 100 + (2,) * 16
 
     def test_oversized_uniform_refused_before_allocating(self, monkeypatch):
         import macckit.entropy as entropy

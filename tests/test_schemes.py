@@ -1,5 +1,6 @@
 """Scheme simulation tests: exhaustive decodability is the oracle."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -326,6 +327,21 @@ class TestLinearity:
     def test_unit_library_refuses_out_of_range(self, n, bit):
         with pytest.raises(InputError):
             FileLibrary.unit(P323, 12, n, bit)
+
+    @pytest.mark.parametrize(
+        "factory",
+        [scheme_appendix_b, scheme_full_access_corner_323, scheme_zero_memory],
+        ids=["scheme_appendix_b", "scheme_full_access_corner_323", "scheme_zero_memory"],
+    )
+    def test_every_library_at_subpacketization(self, factory):
+        # F = subpacketization leaves 2**(N*F) libraries: 512, 64 and 8; all decode
+        scheme = factory()
+        F_bits = scheme.subpacketization
+        libraries = itertools.product((0, 1), repeat=P323.N * F_bits)
+        for count, bits in enumerate(libraries, start=1):
+            files = tuple(bytes(bits[n * F_bits:(n + 1) * F_bits]) for n in range(P323.N))
+            assert verify_scheme(scheme, FileLibrary(P323, F_bits, files)).passed, files
+        assert count == 2 ** (P323.N * F_bits)
 
     def test_random_libraries_many_seeds(self):
         rng = random.Random(99)

@@ -68,6 +68,12 @@ def test_serialize_imports_nothing_from_the_package():
     assert IMPORTS["serialize"] == (set(), set())
 
 
+def test_tradeoff_imports_nothing_from_bounds():
+    # as_memory lives in params, so a hull routine shared with bounds cannot cycle
+    assert "bounds" not in IMPORTS["tradeoff"][0] | IMPORTS["tradeoff"][1]
+    assert "params" in IMPORTS["tradeoff"][0]
+
+
 def test_module_imports_are_acyclic():
     # every import counts, not only top-level ones, so a cycle cannot hide
     # inside a function body

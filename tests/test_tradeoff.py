@@ -10,6 +10,7 @@ from macckit import (
     memory_share,
     optimal_tradeoff_323,
 )
+from macckit.params import InputTypeError
 
 VERTICES = [(F(0), F(3)), (F(2, 3), F(1)), (F(1), F(1, 3)), (F(3, 2), F(0))]
 
@@ -44,6 +45,12 @@ class TestMemoryShare:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             memory_share([], 0)
+
+    def test_inexact_values_refused(self):
+        with pytest.raises(InputTypeError):
+            memory_share([(0, 3), (1, None)], 0)
+        with pytest.raises(InputTypeError):
+            optimal_tradeoff_323(True)
 
 
 class TestOptimalTradeoff323:
