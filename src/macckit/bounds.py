@@ -2,8 +2,9 @@
 
 Four bound families are implemented.  Each family is the maximum of finitely
 many affine functions of the cache memory M, so each is convex and
-non-increasing in M.  All arithmetic is exact rational (fractions.Fraction);
-no floats enter this module.
+non-increasing in M.  All arithmetic is exact; no floats enter this module.
+Terms are compared as integers over one common denominator per term list,
+and every R and every single-term value is an exact fractions.Fraction.
 
 Family identifiers used throughout (curve files, witnesses, CLI); each of
 the four families is defined by one entry of ``FAMILIES``:
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterator, Sequence
 
 from .params import InputError, MaccParams, MemoryLike, as_memory, require_int
@@ -53,19 +55,33 @@ class BoundCurve:
 
 
 Term = tuple[dict, Fraction, Fraction]  # (witness, intercept, slope)
+ScaledTerm = tuple[dict, int, int]  # (witness, A, B): the term is (A - B * M) / D
 
 
-def _maximize(terms: Sequence[Term], M: Fraction) -> BoundPoint:
-    """Maximum of intercept - slope * M over a non-empty term list.  The
-    first maximizer in list order wins, which realizes the smallest-parameter
-    tie-breaking rule."""
-    best, intercept, slope = terms[0]
-    best_value = intercept - slope * M
-    for witness, intercept, slope in terms[1:]:
-        value = intercept - slope * M
+def _scale(terms: Sequence[Term]) -> tuple[list[ScaledTerm], int]:
+    """The terms over their common denominator D, the lcm of every intercept
+    and slope denominator, as integer terms, with D."""
+    D = lcm(*(f.denominator for _, a, b in terms for f in (a, b)))
+    scaled = [
+        (w, a.numerator * (D // a.denominator), b.numerator * (D // b.denominator))
+        for w, a, b in terms
+    ]
+    return scaled, D
+
+
+def _maximize(terms: Sequence[ScaledTerm], D: int, M: Fraction) -> BoundPoint:
+    """Maximum of (A - B * M) / D over a non-empty scaled term list.  With
+    M = p/q the terms are compared as the integers A*q - B*p, and R is built
+    as an exact Fraction for the winner only.  The first maximizer in list
+    order wins, which realizes the smallest-parameter tie-breaking rule."""
+    p, q = M.numerator, M.denominator
+    best, A, B = terms[0]
+    best_value = A * q - B * p
+    for witness, A, B in terms[1:]:
+        value = A * q - B * p
         if value > best_value:
             best, best_value = witness, value
-    return BoundPoint(M=M, R=best_value, witness=dict(best))
+    return BoundPoint(M=M, R=Fraction(best_value, D * q), witness=dict(best))
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +224,14 @@ def _points(params: MaccParams, bound_id: str, grid: Sequence[Fraction]) -> tupl
     terms are every family's in registry order, tagged with the family, so the
     first strict maximum wins across families as within one; clamped at 0."""
     if bound_id != BEST:
-        terms = list(_terms(_family(bound_id), params))
-        return tuple(_maximize(terms, m) for m in grid) if terms else ()
-    terms = [
+        terms, D = _scale(list(_terms(_family(bound_id), params)))
+        return tuple(_maximize(terms, D, m) for m in grid) if terms else ()
+    terms, D = _scale([
         ({"family": name, **witness}, a, b)
         for name, family in FAMILIES.items()
         for witness, a, b in _terms(family, params)
-    ]
-    points = (_maximize(terms, m) for m in grid)
+    ])
+    points = (_maximize(terms, D, m) for m in grid)
     return tuple(
         p if p.R >= 0 else BoundPoint(p.M, Fraction(0), {**p.witness, "clamped": True}) for p in points
     )

@@ -23,6 +23,8 @@ from macckit import (
 )
 from macckit import bounds
 from macckit.bounds import (
+    BEST,
+    FAMILIES,
     FAMILY_IDS,
     cutset_term,
     evaluate_bound,
@@ -528,3 +530,99 @@ def test_default_grid_spans_full_access_range():
     grid = default_memory_grid(P323)
     assert len(grid) == 101
     assert grid[0] == 0 and grid[-1] == F(3, 2)
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against a Fraction first-strict-maximum oracle
+# ---------------------------------------------------------------------------
+
+
+def first_strict_maximum(terms, M):
+    """(witness, value) of the first term in list order that reaches the
+    maximum of intercept - slope * M, in Fraction arithmetic."""
+    best, intercept, slope = terms[0]
+    best_value = intercept - slope * M
+    for witness, intercept, slope in terms[1:]:
+        value = intercept - slope * M
+        if value > best_value:
+            best, best_value = witness, value
+    return best, best_value
+
+
+# built from integers: st.fractions draws too slowly for a few hundred lists
+coefficients = st.builds(F, st.integers(-2000, 2000), st.integers(1, 40))
+
+
+def memories(top):
+    """Memories in [0, top] with denominators up to 12 and up to 10^30."""
+
+    def fractions(max_denominator):
+        pairs = st.tuples(st.integers(0, top * max_denominator), st.integers(1, max_denominator))
+        return pairs.map(lambda pq: F(pq[0] % (top * pq[1] + 1), pq[1]))
+
+    return fractions(12) | fractions(10**30)
+
+
+@st.composite
+def term_lists_and_memories(draw):
+    """A term list with duplicate lines and with lines that tie at the maximum
+    at one of the drawn memories; values may be negative."""
+    grid = draw(st.lists(memories(100), min_size=1, max_size=4))
+    lines = draw(st.lists(st.tuples(coefficients, coefficients), min_size=1, max_size=12))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(lines)))
+    M = draw(st.sampled_from(grid))
+    top = max(a - b * M for a, b in lines)
+    for slope in draw(st.lists(coefficients, max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), (top + slope * M, slope))
+    return [({"i": i}, a, b) for i, (a, b) in enumerate(lines)], grid
+
+
+@settings(max_examples=200, deadline=None)
+@given(term_lists_and_memories())
+def test_integer_kernel_matches_fraction_oracle(case):
+    terms, grid = case
+    scaled, D = bounds._scale(terms)
+    for M in grid:
+        point = bounds._maximize(scaled, D, M)
+        witness, R = first_strict_maximum(terms, M)
+        assert (point.M, point.R, point.witness) == (M, R, witness)
+        assert type(point.R) is F
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sweep_curve_matches_fraction_oracle(data):
+    K = data.draw(st.integers(min_value=1, max_value=7))
+    L = data.draw(st.integers(min_value=1, max_value=K))
+    N = data.draw(st.integers(min_value=1, max_value=8))
+    params = MaccParams(K, L, N)
+    terms = {
+        bound_id: list(bounds._terms(family, params)) for bound_id, family in FAMILIES.items()
+    }
+    terms[BEST] = [
+        ({"family": bound_id, **w}, a, b) for bound_id in FAMILIES for w, a, b in terms[bound_id]
+    ]
+    # memories where two of best's lines cross, so ties at grid points are drawn
+    crossings = sorted(
+        {
+            (a1 - a2) / (b1 - b2)
+            for _, a1, b1 in terms[BEST]
+            for _, a2, b2 in terms[BEST]
+            if b1 != b2 and 0 <= (a1 - a2) / (b1 - b2) <= N
+        }
+    )
+    candidates = st.sampled_from(crossings) | memories(N) if crossings else memories(N)
+    grid = sorted(set(data.draw(st.lists(candidates, min_size=1, max_size=6))))
+    for bound_id in FAMILY_IDS:
+        points = sweep_curve(params, bound_id, grid).points
+        if not terms[bound_id]:
+            assert points == ()
+            continue
+        assert len(points) == len(grid)
+        for point, M in zip(points, grid):
+            witness, R = first_strict_maximum(terms[bound_id], M)
+            if bound_id == BEST and R < 0:
+                witness, R = {**witness, "clamped": True}, F(0)
+            assert (point.M, point.R, point.witness) == (M, R, witness), (params, bound_id)
+            assert type(point.R) is F

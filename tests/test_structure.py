@@ -74,6 +74,16 @@ def test_tradeoff_imports_nothing_from_bounds():
     assert "params" in IMPORTS["tradeoff"][0]
 
 
+def test_bounds_uses_no_floats():
+    # every bound value is exact: bounds.py has no float literal and never
+    # names float, not even in an annotation
+    nodes = list(ast.walk(TREES["bounds"]))
+    assert any(isinstance(node, ast.Name) and node.id == "Fraction" for node in nodes)
+    literals = [n.lineno for n in nodes if isinstance(n, ast.Constant) and isinstance(n.value, float)]
+    names = [n.lineno for n in nodes if isinstance(n, ast.Name) and n.id == "float"]
+    assert (literals, names) == ([], [])
+
+
 def test_module_imports_are_acyclic():
     # every import counts, not only top-level ones, so a cycle cannot hide
     # inside a function body
