@@ -237,11 +237,6 @@ def _points(params: MaccParams, bound_id: str, grid: Sequence[Fraction]) -> tupl
     )
 
 
-def _bound(params: MaccParams, bound_id: str, M: MemoryLike) -> BoundPoint | None:
-    points = _points(params, bound_id, _grid(params, [M]))
-    return points[0] if points else None
-
-
 # ---------------------------------------------------------------------------
 # single-term evaluation (used for witness verification and restricted tests)
 # ---------------------------------------------------------------------------
@@ -280,13 +275,13 @@ def cutset_bound(params: MaccParams, M: MemoryLike) -> BoundPoint:
     The raw maximum is returned; it may be negative for large M (display
     layers clamp at zero).
     """
-    return _bound(params, "cutset_thm1", M)
+    return evaluate_bound(params, "cutset_thm1", M)
 
 
 def improved_bound(params: MaccParams, M: MemoryLike) -> BoundPoint:
     """Refined lower bound: max over s in [1, K], l in [1, ceil(N/s)] of
     improved_term.  Dominates cutset_bound on [0, N/L]."""
-    return _bound(params, "improved_thm2", M)
+    return evaluate_bound(params, "improved_thm2", M)
 
 
 def hkd_lemma2_bound(params: MaccParams, M: MemoryLike) -> BoundPoint | None:
@@ -303,13 +298,13 @@ def hkd_lemma2_bound(params: MaccParams, M: MemoryLike) -> BoundPoint | None:
     move it toward zero (on (20, 5, 20) at M = 10 it is -3/10 with b <= 20 and
     -3/100 with b <= 200).
     """
-    return _bound(params, "hkd_lemma2", M)
+    return evaluate_bound(params, "hkd_lemma2", M)
 
 
 def hkd2_lemma3_bound(params: MaccParams, M: MemoryLike) -> BoundPoint:
     """Prior cut-set bound: like cutset_bound but the cache coefficient is
     s+L-1 without the min(.., K) cap, so it is never tighter."""
-    return _bound(params, "hkd2_lemma3", M)
+    return evaluate_bound(params, "hkd2_lemma3", M)
 
 
 def best_lower_bound(params: MaccParams, M: MemoryLike) -> BoundPoint:
@@ -319,20 +314,24 @@ def best_lower_bound(params: MaccParams, M: MemoryLike) -> BoundPoint:
     clamp raises a negative maximum to zero the witness gains
     ``clamped: True``.
     """
-    return _bound(params, BEST, M)
+    return evaluate_bound(params, BEST, M)
 
 
 def evaluate_bound(params: MaccParams, bound_id: str, M: MemoryLike) -> BoundPoint | None:
     """Evaluate one family by id; None means inapplicable at these params."""
-    return _bound(params, bound_id, M)
+    points = _points(params, bound_id, _grid(params, [M]))
+    return points[0] if points else None
 
 
 def evaluate_witness(params: MaccParams, bound_id: str, witness: dict, M: MemoryLike) -> Fraction:
     """Re-evaluate the single term named by a witness (must reproduce R)."""
     if bound_id != BEST:
         return _term_value(_family(bound_id), params, M, **witness)
+    family = witness.get("family")
+    if not isinstance(family, str) or family not in FAMILIES:
+        raise InputError(f"a best witness needs a family in {tuple(FAMILIES)}, got {family!r}")
     inner = {k: v for k, v in witness.items() if k not in ("family", "clamped")}
-    value = _term_value(_family(witness.get("family")), params, M, **inner)
+    value = _term_value(FAMILIES[family], params, M, **inner)
     return max(Fraction(0), value) if witness.get("clamped") else value
 
 

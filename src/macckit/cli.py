@@ -163,14 +163,9 @@ def cmd_entropy_test(args: argparse.Namespace) -> int:
 
 
 def _add_params(parser: argparse.ArgumentParser, default: tuple[int, int, int] | None) -> None:
-    if default is None:
-        parser.add_argument("--K", type=int, required=True, help="number of users and caches")
-        parser.add_argument("--L", type=int, required=True, help="caches accessed per user")
-        parser.add_argument("--N", type=int, required=True, help="number of files")
-    else:
-        parser.add_argument("--K", type=int, default=default[0])
-        parser.add_argument("--L", type=int, default=default[1])
-        parser.add_argument("--N", type=int, default=default[2])
+    helps = {"K": "number of users and caches", "L": "caches accessed per user", "N": "number of files"}
+    for (name, text), value in zip(helps.items(), default or (None,) * 3):
+        parser.add_argument(f"--{name}", type=int, required=default is None, default=value, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,7 +14,7 @@ import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .params import InputError, MaccParams, cyclic_index, require_int
+from .params import InputError, MaccParams, as_memory, cyclic_index, require_int
 from .serialize import fraction_str
 
 Demand = tuple[int, ...]
@@ -116,7 +116,8 @@ class FileLibrary:
 
 @dataclass(frozen=True)
 class CacheContents:
-    """The K cache payloads produced by a placement, each M*F bits."""
+    """The K cache payloads produced by a placement, each M*F bits; M is read
+    by params.as_memory."""
 
     params: MaccParams
     M: Fraction
@@ -124,6 +125,7 @@ class CacheContents:
     caches: tuple[bytes, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "M", as_memory(self.M))
         require_int("F", self.F, 1)
         if len(self.caches) != self.params.K:
             raise InputError(f"expected {self.params.K} caches, got {len(self.caches)}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import asdict
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import IO, Sequence
 
@@ -27,8 +28,14 @@ def fraction_str(x: Fraction) -> str:
 
 
 def decimal_str(x: Fraction) -> str:
-    """12-significant-digit decimal approximation."""
-    return f"{float(x):.12g}"
+    """12-significant-digit decimal approximation.  A value beyond the float
+    range is divided out in decimal.Decimal instead, in the same layout."""
+    try:
+        return f"{float(x):.12g}"
+    except OverflowError:
+        with localcontext() as context:
+            context.prec = 12
+            return f"{(Decimal(x.numerator) / x.denominator).normalize():.12g}"
 
 
 def witness_str(witness: dict) -> str:

@@ -1,13 +1,16 @@
 """Bound-family tests: frozen example values, independent brute-force
-oracles, and property tests for the shared structural invariants."""
+oracles (tests/oracles.py), and property tests for the shared structural
+invariants."""
 
 import dataclasses
+import re
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from macckit import (
     MaccParams,
     best_lower_bound,
@@ -39,48 +42,6 @@ P323 = MaccParams(3, 2, 3)
 
 
 # ---------------------------------------------------------------------------
-# independent oracles: direct loops over the printed formulas, no shared code
-# with the module's term enumeration
-# ---------------------------------------------------------------------------
-
-
-def brute_cutset(params, M):
-    K, L, N = params.K, params.L, params.N
-    return max(F(s) - F(min(s + L - 1, K)) * M / (N // s) for s in range(1, min(K, N) + 1))
-
-
-def brute_lemma3(params, M):
-    K, L, N = params.K, params.L, params.N
-    return max(F(s) - F(s + L - 1) * M / (N // s) for s in range(1, min(K, N) + 1))
-
-
-def brute_improved(params, M):
-    K, L, N = params.K, params.L, params.N
-    values = []
-    for s in range(1, K + 1):
-        p = min(s + L - 1, K)
-        for l in range(1, (N + s - 1) // s + 1):
-            pos = lambda x: max(0, x)
-            values.append(
-                F(1, l) * (N - (1 - F(p, K)) * pos(N - l * s) - pos(N - l * K) - p * M)
-            )
-    return max(values)
-
-
-def brute_lemma2(params, M, b_max=None):
-    K, L, N = params.K, params.L, params.N
-    values = []
-    for b in range(1, (b_max or N) + 1):
-        for t in range(1, K + 1):
-            for s in range(1, K // 2 + 1):
-                if not L <= s * t <= K // 2:
-                    continue
-                lam = F(1) if s * t == L else F(1, 2)
-                values.append(lam * min(F(s * t - L + 1), F(N, s * b)) - F(t, b) * M)
-    return max(values) if values else None
-
-
-# ---------------------------------------------------------------------------
 # cut-set bound
 # ---------------------------------------------------------------------------
 
@@ -94,7 +55,7 @@ class TestCutsetBound:
         point = cutset_bound(P323, M)
         assert point.R == R
         assert point.witness == {"s": s}
-        assert point.R == brute_cutset(P323, M)
+        assert (point.R, point.witness) == oracles.bound(P323, "cutset_thm1", M)
 
     def test_witness_term_reproduces_value(self):
         point = cutset_bound(P323, F(2, 3))
@@ -167,7 +128,8 @@ class TestImprovedBound:
     def test_matches_brute_force(self, K, L, N):
         params = MaccParams(K, L, N)
         for M in (F(0), F(1, 3), F(N, 2 * L), F(N, L)):
-            assert improved_bound(params, M).R == brute_improved(params, M)
+            point = improved_bound(params, M)
+            assert (point.R, point.witness) == oracles.bound(params, "improved_thm2", M)
 
     def test_term_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -207,7 +169,7 @@ class TestHkdLemma2Bound:
         assert point is not None
         assert point.R == F(3, 2)
         assert point.witness == {"s": 1, "t": 5, "b": 1}
-        assert point.R == brute_lemma2(params, F(0))
+        assert (point.R, point.witness) == oracles.bound(params, "hkd_lemma2", F(0))
 
     def test_inapplicable_when_window_too_wide(self):
         assert hkd_lemma2_bound(MaccParams(10, 7, 10), 0) is None
@@ -220,15 +182,15 @@ class TestHkdLemma2Bound:
         assert hkd_lemma2_term(params, 1, 3, 1, F(10, 3)) == -9
         point = hkd_lemma2_bound(params, F(10, 3))
         assert point is not None
-        assert point.R == brute_lemma2(params, F(10, 3))
+        assert (point.R, point.witness) == oracles.bound(params, "hkd_lemma2", F(10, 3))
 
     def test_b_cap_is_overridable(self):
         params = MaccParams(10, 3, 10)
         for M in (F(0), F(1, 2), F(3)):
             capped = hkd_lemma2_bound(params, M)
-            wide = brute_lemma2(params, M, b_max=3 * params.N)
+            wide = oracles.bound(params, "hkd_lemma2", M, b_cap=3 * params.N)
             assert capped is not None and wide is not None
-            assert wide == capped.R  # larger b never helps on this instance
+            assert wide[0] == capped.R  # larger b never helps on this instance
 
     def test_term_outside_set_rejected(self):
         with pytest.raises(ValueError):
@@ -290,9 +252,15 @@ class TestBestLowerBound:
         assert point.R == 0
         assert list(point.witness.items()) == [("family", "cutset_thm1"), ("s", 1), ("clamped", True)]
 
-    @pytest.mark.parametrize("witness", [{"s": 1}, {"family": "best", "s": 1}])
+    @pytest.mark.parametrize(
+        "witness",
+        [{"s": 1}, {"family": "best", "s": 1}, {"family": "cutset", "s": 1}, {"family": ["cutset_thm1"], "s": 1}],
+    )
     def test_malformed_witness_refused(self, witness):
-        with pytest.raises(bounds.InputError):
+        # the message names the four families a best witness may carry, not best
+        families = "('cutset_thm1', 'improved_thm2', 'hkd_lemma2', 'hkd2_lemma3')"
+        message = f"a best witness needs a family in {families}, got {witness.get('family')!r}"
+        with pytest.raises(bounds.InputError, match=f"^{re.escape(message)}$"):
             evaluate_witness(P323, "best", witness, 0)
 
     @pytest.mark.parametrize(
@@ -533,20 +501,8 @@ def test_default_grid_spans_full_access_range():
 
 
 # ---------------------------------------------------------------------------
-# the integer kernel against a Fraction first-strict-maximum oracle
+# the integer kernel against the Fraction first-strict-maximum oracle
 # ---------------------------------------------------------------------------
-
-
-def first_strict_maximum(terms, M):
-    """(witness, value) of the first term in list order that reaches the
-    maximum of intercept - slope * M, in Fraction arithmetic."""
-    best, intercept, slope = terms[0]
-    best_value = intercept - slope * M
-    for witness, intercept, slope in terms[1:]:
-        value = intercept - slope * M
-        if value > best_value:
-            best, best_value = witness, value
-    return best, best_value
 
 
 # built from integers: st.fractions draws too slowly for a few hundred lists
@@ -585,8 +541,7 @@ def test_integer_kernel_matches_fraction_oracle(case):
     scaled, D = bounds._scale(terms)
     for M in grid:
         point = bounds._maximize(scaled, D, M)
-        witness, R = first_strict_maximum(terms, M)
-        assert (point.M, point.R, point.witness) == (M, R, witness)
+        assert (point.M, point.R, point.witness) == (M, *oracles.first_maximum(terms, M))
         assert type(point.R) is F
 
 
@@ -600,9 +555,7 @@ def test_sweep_curve_matches_fraction_oracle(data):
     terms = {
         bound_id: list(bounds._terms(family, params)) for bound_id, family in FAMILIES.items()
     }
-    terms[BEST] = [
-        ({"family": bound_id, **w}, a, b) for bound_id in FAMILIES for w, a, b in terms[bound_id]
-    ]
+    terms[BEST] = oracles.best_terms(terms)
     # memories where two of best's lines cross, so ties at grid points are drawn
     crossings = sorted(
         {
@@ -621,8 +574,6 @@ def test_sweep_curve_matches_fraction_oracle(data):
             continue
         assert len(points) == len(grid)
         for point, M in zip(points, grid):
-            witness, R = first_strict_maximum(terms[bound_id], M)
-            if bound_id == BEST and R < 0:
-                witness, R = {**witness, "clamped": True}, F(0)
-            assert (point.M, point.R, point.witness) == (M, R, witness), (params, bound_id)
+            expected = (M, *oracles.maximum(terms[bound_id], bound_id, M))
+            assert (point.M, point.R, point.witness) == expected, (params, bound_id)
             assert type(point.R) is F

@@ -90,6 +90,22 @@ class TestBoundsCommand:
         assert run_cli(*argv, "--out", str(b)) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_memory_beyond_float_range(self, tmp_path, fmt):
+        # cutset has min(K, N) terms, so a 400-digit N is cheap; its memories
+        # pass float's range and are written as Decimal-computed decimals
+        out = tmp_path / f"curves.{fmt}"
+        code = run_cli("bounds", "--K", "2", "--L", "1", "--N", "9" * 400,
+                       "--families", "cutset", "--format", fmt, "--out", str(out))
+        assert code == EXIT_OK
+        if fmt == "csv":
+            rows = list(csv.DictReader(out.read_text().splitlines()))
+        else:
+            (curve,) = json.loads(out.read_text())["curves"]
+            rows = curve["points"]
+        assert len(rows) == 101
+        assert (rows[0]["M_decimal"], rows[-1]["M_decimal"], rows[-1]["R_decimal"]) == ("0", "1e+400", "0")
+
     def test_out_dir_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MACCKIT_OUT_DIR", str(tmp_path))
         code = run_cli("bounds", "--K", "3", "--L", "2", "--N", "3", "--grid", "0:1:3")
@@ -307,6 +323,13 @@ def test_internal_error_exits_internal(monkeypatch, capsys, exc):
     err = capsys.readouterr().err
     assert "Traceback (most recent call last)" in err
     assert f"{exc.__name__}: " in err
+
+
+def test_console_script_exits_with_the_code_of_main(monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["macckit", "simulate", "--scheme", "appendix-b", "--F", "10"])
+    with pytest.raises(SystemExit) as exited:
+        macckit.cli.run()
+    assert exited.value.code == EXIT_USAGE
 
 
 def test_module_entry_point_exit_code():

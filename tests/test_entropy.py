@@ -45,6 +45,8 @@ class TestJointPmf:
             JointPmf((2,) * 17, np.zeros((2,) * 17))  # 2^17 outcomes
         with pytest.raises(ValueError):
             JointPmf((2, 0), np.zeros((2, 0)))
+        with pytest.raises(InputError, match="^alphabet sizes must be non-empty$"):
+            JointPmf((), np.array(1.0))
         for sizes in ((True, 2), (2.0, 2)):  # refused, not coerced
             with pytest.raises(InputError, match="must be an int"):
                 JointPmf(sizes, np.full((1, 2), 0.5))
@@ -161,6 +163,7 @@ class TestSlidingWindowCheck:
         for _ in range(50):
             report = check_sliding_window(JointPmf.random((2, 2, 2), rng))
             assert report.passed
+            assert report.min_margin == min(report.margins) < max(report.margins)
             for a, b in zip(report.sequence, report.sequence[1:]):
                 assert a >= b - 1e-9
 

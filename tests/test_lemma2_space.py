@@ -1,13 +1,14 @@
 """hkd_lemma2 searches only the b values that can be the first maximum for
 each (s, t).  These tests compare R and witness against the full space
-(b over all of [1, N]) on grids that include every breakpoint, and pin the
-searched space and the public single-term path."""
+(b over all of [1, N]) of tests/oracles.py on grids that include every
+breakpoint, and pin the searched space and the public single-term path."""
 
 from fractions import Fraction as F
 from itertools import groupby
 
 import pytest
 
+import oracles
 from macckit import MaccParams, sweep_curve, uniform_grid
 from macckit.bounds import (
     BEST,
@@ -29,76 +30,11 @@ SMALL_TRIPLES = [
 ]
 
 
-def full_lemma2_terms(params):
-    """hkd_lemma2 over its whole witness space, b in [1, N], in tie-break order."""
-    K, L, N = params.K, params.L, params.N
-    for s in range(1, K + 1):
-        for t in range(1, K + 1):
-            if L <= s * t <= K // 2:
-                for b in range(1, N + 1):
-                    yield {"s": s, "t": t, "b": b}, *LEMMA2.coeffs(params, s=s, t=t, b=b)
-
-
-def full_terms(params, bound_id):
-    """The term list _points would build without pruning: for best, every
-    family's terms in registry order with the full hkd_lemma2 block in place."""
-    if bound_id != BEST:
-        return list(full_lemma2_terms(params))
-    return [
-        ({"family": name, **w}, a, b)
-        for name, family in FAMILIES.items()
-        for w, a, b in (
-            full_lemma2_terms(params) if name == "hkd_lemma2" else _terms(family, params)
-        )
-    ]
-
-
-def first_maximum(terms, M):
-    """The maximum of intercept - slope * M over the terms, with the witness
-    of the first term in list order that reaches it."""
-    best, best_value = None, None
-    for witness, intercept, slope in terms:
-        value = intercept - slope * M
-        if best_value is None or value > best_value:
-            best, best_value = witness, value
-    return BoundPoint(M=M, R=best_value, witness=dict(best))
-
-
-def oracle_point(terms, bound_id, M):
-    point = first_maximum(terms, M)
-    if bound_id == BEST and point.R < 0:
-        return BoundPoint(M, F(0), {**point.witness, "clamped": True})
-    return point
-
-
-def breakpoints(terms, x, y):
-    """Every breakpoint of max(terms) on [x, y], found from first_maximum alone."""
-    lines = {tuple(w.items()): (a, b) for w, a, b in terms}
-
-    def line_at(M):
-        point = first_maximum(terms, M)
-        return lines[tuple(point.witness.items())], point.R
-
-    def value(line, M):
-        return line[0] - line[1] * M
-
-    def search(x, y):
-        (lx, _), (ly, ry) = line_at(x), line_at(y)
-        if value(lx, y) == ry:  # x's line is maximal on all of [x, y]
-            return []
-        z = (lx[0] - ly[0]) / (lx[1] - ly[1])
-        if value(lx, z) == line_at(z)[1]:
-            return [z]
-        return search(x, z) + search(z, y)
-
-    return search(x, y)
-
-
 def check_grid(params, terms):
     """51 points on [0, N/L], plus M = N, plus every breakpoint on [0, N]."""
     grid = set(uniform_grid(0, F(params.N, params.L), 51))
     grid.add(F(params.N))
-    grid.update(breakpoints(terms, F(0), F(params.N)))
+    grid.update(oracles.breakpoints(terms, F(0), F(params.N)))
     return sorted(grid)
 
 
@@ -106,9 +42,9 @@ def check_grid(params, terms):
 def test_pruned_space_matches_full_space(bound_id):
     points = 0
     for params in SMALL_TRIPLES:
-        terms = full_terms(params, bound_id)
+        terms = oracles.terms(params, bound_id)
         grid = check_grid(params, terms)
-        expected = tuple(oracle_point(terms, bound_id, m) for m in grid)
+        expected = tuple(BoundPoint(m, *oracles.maximum(terms, bound_id, m)) for m in grid)
         assert sweep_curve(params, bound_id, grid).points == expected, params
         points += len(grid)
     assert len(SMALL_TRIPLES) == 160
@@ -118,7 +54,7 @@ def test_pruned_space_matches_full_space(bound_id):
 def test_breakpoints_of_a_known_envelope():
     # max(2 - 2M, 1 - M/2, 0) turns at M = 2/3 and M = 2
     terms = [({"i": 0}, F(2), F(2)), ({"i": 1}, F(1), F(1, 2)), ({"i": 2}, F(0), F(0))]
-    assert breakpoints(terms, F(0), F(4)) == [F(2, 3), F(2)]
+    assert oracles.breakpoints(terms, F(0), F(4)) == [F(2, 3), F(2)]
 
 
 def test_searched_space_at_100_10_100():

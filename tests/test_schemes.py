@@ -21,7 +21,7 @@ from macckit import (
     scheme_zero_memory,
     verify_scheme,
 )
-from macckit.params import InputError
+from macckit.params import InputError, InputTypeError
 from macckit.schemes import split_bits, xor_bits
 
 P323 = MaccParams(3, 2, 3)
@@ -102,6 +102,12 @@ class TestBitHelpers:
         for F_ in (0, 12.0, True):
             with pytest.raises(InputError):
                 CacheContents(params=P323, M=F(0), F=F_, caches=(b"",) * 3)
+
+    def test_cache_memory_is_read_by_as_memory(self):
+        caches = (bytes(1),) * 3  # M*F = 1 bit each
+        assert CacheContents(P323, "1/2", 2, caches).M == F(1, 2)
+        with pytest.raises(InputTypeError, match="memory must be exact"):
+            CacheContents(P323, 0.5, 2, caches)
 
     @pytest.mark.parametrize("index", [0, 4, 1.5, True])
     def test_file_and_cache_indices_refused(self, index):

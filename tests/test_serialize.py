@@ -48,6 +48,12 @@ def test_fraction_formats():
     assert fraction_str(F(-2, 5)) == "-2/5"
     assert decimal_str(F(7, 3)) == "2.33333333333"
     assert decimal_str(F(1, 2)) == "0.5"
+    # beyond the float range the 12 digits come from decimal.Decimal, in float's layout
+    assert decimal_str(F(10**308)) == "1e+308"
+    assert decimal_str(F(10**309, 7)) == "1.42857142857e+308"
+    assert decimal_str(F(2 * 10**400, 3)) == "6.66666666667e+399"
+    assert decimal_str(F(15 * 10**399)) == "1.5e+400"
+    assert decimal_str(F(-(10**400))) == "-1e+400"
 
 
 def test_witness_encoding():

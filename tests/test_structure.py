@@ -1,5 +1,6 @@
 """Package structure: every intra-package import sits at module top and the
-modules form an acyclic graph, with serialize at the bottom beside params."""
+modules form an acyclic graph, with serialize at the bottom beside params.
+The tests' bound oracles, in tests/oracles.py, share no code with it."""
 
 import ast
 import importlib.util
@@ -13,6 +14,8 @@ from macckit import schemes
 
 PACKAGE = Path(macckit.__file__).resolve().parent
 TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+TESTS = Path(__file__).resolve().parent
+TEST_TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in TESTS.glob("*.py")}
 
 
 def _targets(node: ast.Import | ast.ImportFrom) -> set[str]:
@@ -82,6 +85,31 @@ def test_bounds_uses_no_floats():
     literals = [n.lineno for n in nodes if isinstance(n, ast.Constant) and isinstance(n.value, float)]
     names = [n.lineno for n in nodes if isinstance(n, ast.Name) and n.id == "float"]
     assert (literals, names) == ([], [])
+
+
+def _functions(tree: ast.Module) -> set[str]:
+    return {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+
+def test_oracles_import_nothing_but_fractions():
+    # no path to macckit, direct or through another module, so no check on
+    # bounds can pass by sharing the code it checks
+    imports = [n for n in ast.walk(TEST_TREES["oracles"]) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert [ast.unparse(node) for node in imports] == ["from fractions import Fraction"]
+
+
+def test_no_other_test_module_writes_its_own_oracle():
+    oracles = {node.name for node in TEST_TREES["oracles"].body if isinstance(node, ast.FunctionDef)}
+    assert {"cutset_thm1", "first_maximum", "breakpoints"} <= oracles
+    retired = {"first_strict_maximum", "full_lemma2_terms", "full_terms", "oracle_point"}
+    own = {
+        (module, name)
+        for module, tree in TEST_TREES.items()
+        if module != "oracles"
+        for name in _functions(tree)
+        if name in oracles | retired or name.startswith("brute_")
+    }
+    assert own == set()
 
 
 def test_module_imports_are_acyclic():
