@@ -1,6 +1,8 @@
 """Rate-memory lower bounds, GF(2) scheme simulation, and entropy-inequality
 checks for (K, L, N) multi-access coded caching networks."""
 
+from importlib import import_module
+
 from .bounds import (
     BoundCurve,
     BoundPoint,
@@ -17,15 +19,6 @@ from .bounds import (
     uncoded_threshold_gap,
     uniform_grid,
     verify_dominance,
-)
-from .entropy import (
-    JointPmf,
-    check_conditional_window,
-    check_sliding_window,
-    marginal_entropy,
-    run_conditional_window_batch,
-    run_sliding_window_batch,
-    window_entropy_sum,
 )
 from .params import MaccParams, cyclic_index
 from .schemes import (
@@ -50,6 +43,20 @@ from .tradeoff import (
 )
 
 __version__ = "0.1.0"
+
+#: Modules loaded on first use, each with the exports it defines: entropy
+#: imports numpy, which the bound, scheme and trade-off code never needs.
+_LAZY = {
+    "entropy": (
+        "JointPmf",
+        "check_conditional_window",
+        "check_sliding_window",
+        "marginal_entropy",
+        "run_conditional_window_batch",
+        "run_sliding_window_batch",
+        "window_entropy_sum",
+    ),
+}
 
 __all__ = [
     "ACHIEVABLE_POINTS_323",
@@ -93,3 +100,16 @@ __all__ = [
     "verify_scheme",
     "window_entropy_sum",
 ]
+
+
+def __getattr__(name: str):
+    """A lazy module, or one of its exports, imported on first use (PEP 562)."""
+    for module, exports in _LAZY.items():
+        if name == module or name in exports:
+            loaded = import_module(f"{__name__}.{module}")
+            return loaded if name == module else getattr(loaded, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__) | set(_LAZY))

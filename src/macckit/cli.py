@@ -16,8 +16,10 @@ import traceback
 from fractions import Fraction
 from pathlib import Path
 
-from . import bounds, entropy, schemes, serialize
-from .params import InputError, MaccParams
+import macckit
+
+from . import bounds, schemes, serialize
+from .params import DEFAULT_TOL, InputError, MaccParams
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -139,10 +141,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_entropy_test(args: argparse.Namespace) -> int:
     # conditional first: its K + 1 variables refuse an oversized alphabet
     # before any pmf is drawn; each batch seeds its own RNG, so order is free
-    conditional = entropy.run_conditional_window_batch(
+    conditional = macckit.entropy.run_conditional_window_batch(
         args.K, args.alphabet, args.trials, args.seed, tol=args.tol
     )
-    sliding = entropy.run_sliding_window_batch(
+    sliding = macckit.entropy.run_sliding_window_batch(
         args.K, args.alphabet, args.trials, args.seed, tol=args.tol
     )
     if args.out is not None:
@@ -208,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphabet", type=int, default=2, help="alphabet size per variable")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=entropy.DEFAULT_TOL)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--out", default=None, help="report path (JSON)")
     p.set_defaults(func=cmd_entropy_test)
 

@@ -15,9 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .params import InputError, InputTypeError, cyclic_index, require_int
+from .params import DEFAULT_TOL, InputError, InputTypeError, cyclic_index, require_int
 
-DEFAULT_TOL = 1e-9
 NORMALIZATION_TOL = 1e-12
 MAX_OUTCOMES = 1 << 16
 #: Floats in one stacked chunk of a batch's trials (512 KiB; one table of

@@ -6,6 +6,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 MemoryLike = int | str | Fraction
+#: The entropy checks' margin tolerance, kept here so that the CLI's --tol
+#: default is read without importing entropy (and numpy).
+DEFAULT_TOL = 1e-9
 
 
 class InputError(ValueError):

@@ -238,12 +238,10 @@ class TestEntropyCommand:
 
     def test_oversized_conditional_alphabet_refused_before_sliding_batch(self, monkeypatch):
         # 2^16 outcomes fit MAX_OUTCOMES, but the conditional batch's 2^17 do not
-        import macckit.cli as cli
-
         def ran(*args, **kwargs):
             raise RuntimeError("sliding batch ran before the refusal")
 
-        monkeypatch.setattr(cli.entropy, "run_sliding_window_batch", ran)
+        monkeypatch.setattr(macckit.entropy, "run_sliding_window_batch", ran)
         assert run_cli("entropy-test", "--K", "16", "--alphabet", "2", "--trials", "3") == EXIT_USAGE
 
     def test_deterministic_reports(self, tmp_path):
@@ -332,16 +330,39 @@ def test_console_script_exits_with_the_code_of_main(monkeypatch):
     assert exited.value.code == EXIT_USAGE
 
 
-def test_module_entry_point_exit_code():
-    # the child must import the same package this suite tests
+def _child(*argv, cwd=None):
+    """Run a fresh interpreter that imports the same package this suite tests."""
     src = str(Path(macckit.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "macckit.cli", "simulate", "--scheme", "appendix-b", "--F", "10"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path}, timeout=60,
     )
+
+
+def test_module_entry_point_exit_code():
+    proc = _child("-m", "macckit.cli", "simulate", "--scheme", "appendix-b", "--F", "10")
     assert proc.returncode == EXIT_USAGE
     assert "needs F divisible by 3" in proc.stderr
+
+
+NUMPY_PROBE = """
+import json, sys
+import macckit, macckit.cli as cli
+loaded = []
+for argv in (["bounds", "--K", "3", "--L", "2", "--N", "3"], ["compare", "--K", "3", "--L", "2", "--N", "3"],
+             ["simulate", "--scheme", "appendix-b"], ["entropy-test", "--trials", "2"]):
+    assert cli.main(argv) == cli.EXIT_OK, argv
+    loaded.append("numpy" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_numpy_loads_only_for_entropy_checks(tmp_path):
+    # the bound and scheme paths are exact and pure stdlib, so they never pay for numpy
+    proc = _child("-c", NUMPY_PROBE, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, False, True]
 
 
 #: sha256 of output files at fixed flags.  The bound, dominance, scheme and

@@ -1,6 +1,7 @@
 """Package structure: every intra-package import sits at module top and the
-modules form an acyclic graph, with serialize at the bottom beside params.
-The tests' bound oracles, in tests/oracles.py, share no code with it."""
+modules form an acyclic graph, with serialize at the bottom beside params;
+the package loads entropy (and numpy) only on first use.  The tests' bound
+oracles, in tests/oracles.py, share no code with it."""
 
 import ast
 import importlib.util
@@ -38,9 +39,21 @@ def _targets(node: ast.Import | ast.ImportFrom) -> set[str]:
     }
 
 
+def _lazy_modules(tree: ast.Module) -> set[str]:
+    """The modules a module-level _LAZY table names, each loaded on first use
+    by the package's __getattr__: they are its keys."""
+    tables = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["_LAZY"]
+    ]
+    return {key.value for table in tables for key in table.keys}
+
+
 def _imports(tree: ast.Module) -> tuple[set[str], set[str]]:
-    """(modules imported at module level, modules imported inside a function)."""
-    top, local = set(), set()
+    """(modules imported at module level, counting those a _LAZY table loads
+    on first use, modules imported inside a function)."""
+    top, local = _lazy_modules(tree), set()
 
     def visit(node: ast.AST, in_function: bool) -> None:
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -57,9 +70,35 @@ IMPORTS = {name: _imports(tree) for name, tree in TREES.items()}
 
 
 def test_walker_sees_the_package_imports():
-    # guards the tests below against passing on an empty graph
-    assert {"bounds", "entropy", "schemes", "serialize", "params"} <= IMPORTS["cli"][0]
-    assert "params" in IMPORTS["bounds"][0] and "bounds" in IMPORTS["__init__"][0]
+    # guards the tests below against passing on an empty graph; cli reaches
+    # entropy through the package, whose lazy table is an edge of the graph
+    assert {"__init__", "bounds", "schemes", "serialize", "params"} <= IMPORTS["cli"][0]
+    assert "entropy" not in IMPORTS["cli"][0]
+    assert "params" in IMPORTS["bounds"][0]
+    assert {"bounds", "entropy"} <= IMPORTS["__init__"][0]
+
+
+def test_dir_lists_every_export():
+    assert set(macckit.__all__) | {"entropy"} <= set(dir(macckit))
+
+
+def test_star_import_resolves_every_export():
+    namespace = {}
+    exec("from macckit import *", namespace)
+    assert set(macckit.__all__) <= set(namespace)
+    assert namespace["JointPmf"] is macckit.entropy.JointPmf
+
+
+def test_lazy_export_imports_by_name():
+    from macckit import JointPmf, entropy
+
+    assert JointPmf is entropy.JointPmf
+
+
+def test_unknown_attribute_raises_the_standard_error():
+    with pytest.raises(AttributeError, match=r"^module 'macckit' has no attribute 'nope'$"):
+        macckit.nope
+    assert not hasattr(macckit, "nope")
 
 
 @pytest.mark.parametrize("module", sorted(TREES))
