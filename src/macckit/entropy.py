@@ -69,12 +69,6 @@ class JointPmf:
         table = rng.exponential(size=sizes)
         return cls(alphabet_sizes=sizes, probs=table / table.sum())
 
-    @classmethod
-    def independent_uniform(cls, alphabet_sizes: Sequence[int]) -> "JointPmf":
-        sizes = _sizes(alphabet_sizes)
-        table = np.full(sizes, 1.0 / math.prod(sizes))
-        return cls(alphabet_sizes=sizes, probs=table)
-
 
 def _check_tables(tables: np.ndarray) -> None:
     """Refuse any table stacked along axis 0 that has a negative entry or

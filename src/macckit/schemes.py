@@ -99,20 +99,6 @@ class FileLibrary:
             seed=seed,
         )
 
-    @classmethod
-    def zeros(cls, params: MaccParams, F: int) -> "FileLibrary":
-        return cls(params=params, F=F, files=tuple(bytes(F) for _ in range(params.N)))
-
-    @classmethod
-    def unit(cls, params: MaccParams, F: int, n: int, bit: int) -> "FileLibrary":
-        """All-zero library except bit `bit` of file `n` (n is 1-based, bit 0-based)."""
-        require_int("file index n", n, 1, params.N)
-        require_int("F", F, 1)
-        require_int("bit", bit, 0, F - 1)
-        files = [bytearray(F) for _ in range(params.N)]
-        files[n - 1][bit] = 1
-        return cls(params=params, F=F, files=tuple(bytes(f) for f in files))
-
 
 @dataclass(frozen=True)
 class CacheContents:
@@ -158,14 +144,6 @@ def all_demand_vectors(params: MaccParams):
     return itertools.product(range(1, params.N + 1), repeat=params.K)
 
 
-def validate_demand(d: Demand, params: MaccParams) -> None:
-    if len(d) != params.K:
-        raise InputError(f"demand vector has {len(d)} entries, expected K={params.K}")
-    # require_int's rule, inlined: this runs once per delivered demand
-    if any(not isinstance(x, int) or isinstance(x, bool) or not 1 <= x <= params.N for x in d):
-        raise InputError(f"demand entries must be ints in [1, N={params.N}]: {d}")
-
-
 # ---------------------------------------------------------------------------
 # schemes
 # ---------------------------------------------------------------------------
@@ -187,15 +165,21 @@ class Scheme(abc.ABC):
 
     def check_library(self, library: FileLibrary, demand: Demand | None = None) -> None:
         """Refuse a library of another network or with F not divisible by the
-        subpacketization, then a given demand that validate_demand refuses."""
-        if self.network not in (None, library.params):
-            raise InputError(f"scheme {self.id!r} is not defined for {library.params}")
+        subpacketization, then a given demand without K entries in [1, N]."""
+        params = library.params
+        if self.network not in (None, params):
+            raise InputError(f"scheme {self.id!r} is not defined for {params}")
         if library.F % self.subpacketization != 0:
             raise SubpacketizationError(
                 f"scheme {self.id!r} needs F divisible by {self.subpacketization}, got F={library.F}"
             )
-        if demand is not None:
-            validate_demand(demand, library.params)
+        if demand is None:
+            return
+        if len(demand) != params.K:
+            raise InputError(f"demand vector has {len(demand)} entries, expected K={params.K}")
+        # require_int's rule, inlined: this runs once per delivered demand
+        if any(not isinstance(x, int) or isinstance(x, bool) or not 1 <= x <= params.N for x in demand):
+            raise InputError(f"demand entries must be ints in [1, N={params.N}]: {demand}")
 
     @abc.abstractmethod
     def place(self, library: FileLibrary) -> CacheContents:
@@ -390,7 +374,7 @@ class VerificationReport:
     seed: int | None
     worst_case_rate: Fraction
     per_demand: tuple[DemandOutcome, ...]
-    failures: tuple[tuple[Demand, int], ...]  # (demand, user), sorted
+    failures: tuple[tuple[Demand, int], ...]  # in (demand, user) order
 
     @property
     def passed(self) -> bool:
@@ -416,8 +400,7 @@ def verify_scheme(scheme: Scheme, library: FileLibrary) -> VerificationReport:
 
     Placement happens once and is reused across all demands.  Each user's
     window, {cache index: payload} in access_window order, is built once.
-    Failures are sorted by (demand, user) so reports are deterministic
-    however the loop is scheduled.
+    Failures are listed in (demand, user) order, the order the loop visits.
     """
     params = library.params
     caches = scheme.place(library)
@@ -442,5 +425,5 @@ def verify_scheme(scheme: Scheme, library: FileLibrary) -> VerificationReport:
         seed=library.seed,
         worst_case_rate=worst,
         per_demand=tuple(per_demand),
-        failures=tuple(sorted(failures)),
+        failures=tuple(failures),
     )

@@ -61,7 +61,7 @@ def memory_share(points: Sequence[tuple[MemoryLike, MemoryLike]], M: MemoryLike)
     for (m0, r0), (m1, r1) in zip(hull, hull[1:]):
         if m0 <= m <= m1:
             return r0 + (r1 - r0) * (m - m0) / (m1 - m0)
-    return hull[-1][1]  # m equals the last vertex
+    return hull[-1][1]  # reached only for a one-point hull: m is its only vertex
 
 
 def optimal_tradeoff_323(M: MemoryLike) -> Fraction:

@@ -17,6 +17,10 @@ from macckit import (
 from macckit.params import InputError
 
 
+def uniform(sizes):
+    return JointPmf(sizes, np.full(sizes, 1.0 / math.prod(sizes)))
+
+
 def fully_correlated_bits(K):
     table = np.zeros((2,) * K)
     table[(0,) * K] = 0.5
@@ -39,6 +43,8 @@ class TestJointPmf:
             JointPmf((2, 2), np.full((2, 2), 0.3))  # sums to 1.2
         with pytest.raises(ValueError):
             JointPmf((2, 2), np.array([[0.5, 0.6], [0.2, -0.3]]))
+        with pytest.raises(InputError, match="non-negative"):  # sums to 1.0 in float
+            JointPmf((2,), np.array([1.0, -1e-310]))
         with pytest.raises(ValueError):
             JointPmf((2, 3), np.full((2, 2), 0.25))
         with pytest.raises(ValueError):
@@ -64,7 +70,7 @@ class TestJointPmf:
                 JointPmf(shape, np.array(table))
 
     def test_table_is_frozen(self):
-        pmf = JointPmf.independent_uniform((2, 2))
+        pmf = uniform((2, 2))
         with pytest.raises(ValueError):
             pmf.probs[0, 0] = 1.0
 
@@ -76,7 +82,7 @@ class TestJointPmf:
 
 class TestMarginalEntropy:
     def test_independent_bits_add(self):
-        pmf = JointPmf.independent_uniform((2, 2, 2))
+        pmf = uniform((2, 2, 2))
         assert marginal_entropy(pmf, [1, 2]) == pytest.approx(2.0, abs=1e-12)
         assert marginal_entropy(pmf, [3]) == pytest.approx(1.0, abs=1e-12)
 
@@ -96,11 +102,11 @@ class TestMarginalEntropy:
         assert marginal_entropy(pmf, [1, 2]) == pytest.approx(math.log2(3), abs=1e-12)
 
     def test_duplicates_removed(self):
-        pmf = JointPmf.independent_uniform((2, 2))
+        pmf = uniform((2, 2))
         assert marginal_entropy(pmf, [1, 1]) == marginal_entropy(pmf, [1])
 
     def test_bad_subsets(self):
-        pmf = JointPmf.independent_uniform((2, 2))
+        pmf = uniform((2, 2))
         with pytest.raises(ValueError):
             marginal_entropy(pmf, [])
         with pytest.raises(ValueError):
@@ -121,7 +127,7 @@ class TestMarginalEntropy:
 
 class TestWindowEntropySum:
     def test_independent_uniform_is_flat(self):
-        pmf = JointPmf.independent_uniform((2, 2, 2))
+        pmf = uniform((2, 2, 2))
         for s in (1, 2, 3):
             assert window_entropy_sum(pmf, s) == pytest.approx(3.0, abs=1e-12)
 
@@ -147,7 +153,7 @@ class TestWindowEntropySum:
         )
 
     def test_s_out_of_range(self):
-        pmf = JointPmf.independent_uniform((2, 2))
+        pmf = uniform((2, 2))
         with pytest.raises(ValueError):
             window_entropy_sum(pmf, 0)
         with pytest.raises(ValueError):
@@ -168,21 +174,21 @@ class TestSlidingWindowCheck:
                 assert a >= b - 1e-9
 
     def test_equality_chain_for_independent_uniform(self):
-        report = check_sliding_window(JointPmf.independent_uniform((2, 2, 2, 2)))
+        report = check_sliding_window(uniform((2, 2, 2, 2)))
         assert report.passed
         assert all(abs(m) < 1e-12 for m in report.margins)
 
     def test_needs_two_variables(self):
         # one variable has no adjacent window lengths: nothing would be checked
         with pytest.raises(ValueError):
-            check_sliding_window(JointPmf.independent_uniform((2,)))
+            check_sliding_window(uniform((2,)))
         with pytest.raises(ValueError):
             run_sliding_window_batch(1, 2, 2, seed=0)
         # no variable with two values: every entropy is 0, as a batch of alphabet 1
         with pytest.raises(InputError, match="^alphabet must be >= 2, got 1$"):
-            check_sliding_window(JointPmf.independent_uniform((1, 1, 1)))
+            check_sliding_window(uniform((1, 1, 1)))
         with pytest.raises(InputError, match="^alphabet must be >= 2, got 1$"):
-            check_conditional_window(JointPmf.independent_uniform((1, 1, 2)))
+            check_conditional_window(uniform((1, 1, 2)))
         # one window variable with two values: each scaled average is its entropy
         rng = np.random.default_rng(2)
         for check, sizes in (
@@ -194,17 +200,21 @@ class TestSlidingWindowCheck:
     def test_bad_tolerance(self):
         for tol in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError):
-                check_sliding_window(JointPmf.independent_uniform((2, 2)), tol=tol)
+                check_sliding_window(uniform((2, 2)), tol=tol)
             with pytest.raises(ValueError):
-                check_conditional_window(JointPmf.independent_uniform((2, 2)), tol=tol)
+                check_conditional_window(uniform((2, 2)), tol=tol)
         # a bool is not a tolerance: True would run as 1.0 and report "tol": true
-        pmf = JointPmf.independent_uniform((2, 2, 2))
+        pmf = uniform((2, 2, 2))
         for check in (check_sliding_window, check_conditional_window):
             with pytest.raises(InputError, match="tolerance"):
                 check(pmf, tol=True)
         for run in (run_sliding_window_batch, run_conditional_window_batch):
             with pytest.raises(InputError, match="tolerance"):
                 run(3, 2, 3, 0, tol=True)
+
+    def test_failure_threshold_is_tol(self):
+        # a margin fails when it is below -tol: -1.5 tol fails, -0.5 tol and 0 pass
+        assert entropy._failures(np.array([[-1.5e-9, -0.5e-9, 0.0]]), 1e-9) == [(0, 1, -1.5e-9)]
 
 
 class TestConditionalWindowCheck:
@@ -245,10 +255,10 @@ class TestConditionalWindowCheck:
 
     def test_needs_a_conditioned_variable(self):
         with pytest.raises(ValueError):
-            check_conditional_window(JointPmf.independent_uniform((2,)))
+            check_conditional_window(uniform((2,)))
         # one conditioned variable leaves one margin, the full set against itself
         rng = np.random.default_rng(5)
-        for pmf in (JointPmf.independent_uniform((2, 2)), JointPmf.random((3, 5), rng)):
+        for pmf in (uniform((2, 2)), JointPmf.random((3, 5), rng)):
             with pytest.raises(InputError, match="^K must be >= 2, got 1$"):
                 check_conditional_window(pmf)
 
@@ -328,16 +338,6 @@ class TestBatches:
         with pytest.raises(InputError, match="exceeds"):
             sizes((2,) * 10**6)
         assert sizes((1,) * 100 + (2,) * 16) == (1,) * 100 + (2,) * 16
-
-    def test_oversized_uniform_refused_before_allocating(self, monkeypatch):
-        import macckit.entropy as entropy
-
-        def allocated(*args, **kwargs):
-            raise RuntimeError("table allocated before the size check")
-
-        monkeypatch.setattr(entropy.np, "full", allocated)
-        with pytest.raises(InputError, match="exceeds"):
-            JointPmf.independent_uniform((2,) * 17)
 
 
 def oracle_sequence(pmf, conditional):

@@ -33,6 +33,9 @@ class TestMemoryShare:
         assert lower_convex_envelope(padded) == VERTICES
         assert memory_share(padded, F(1, 2)) == memory_share(VERTICES, F(1, 2))
 
+    def test_collinear_middle_point_is_not_a_vertex(self):
+        assert lower_convex_envelope([(0, 2), (1, 1), (2, 0)]) == [(0, 2), (2, 0)]
+
     def test_dominated_duplicate_memory_keeps_lower_rate(self):
         padded = VERTICES + [(F(2, 3), F(2))]
         assert memory_share(padded, F(2, 3)) == 1
