@@ -75,6 +75,8 @@ class FileLibrary:
 
     def __post_init__(self) -> None:
         require_int("F", self.F, 1)
+        if self.seed is not None:
+            require_int("seed", self.seed, 0)
         if len(self.files) != self.params.N:
             raise InputError(f"expected {self.params.N} files, got {len(self.files)}")
         for n, f in enumerate(self.files, start=1):

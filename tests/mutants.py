@@ -36,6 +36,14 @@ PYTEST = (sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider")
 TIMEOUT_S = 600
 
 MUTANTS: tuple[tuple[str, str, str], ...] = (
+    # the package: a module such as macckit.entropy is no longer served by name
+    ("__init__.py", "if name == module or name in exports:", "if name in exports:"),
+    # the package caches what it resolves, so a patched module goes unseen
+    (
+        "__init__.py",
+        "return loaded if name == module else getattr(loaded, name)",
+        "return loaded if name == module else globals().setdefault(name, getattr(loaded, name))",
+    ),
     # bounds: the last maximum wins ties instead of the first
     ("bounds.py", "if value > best_value:", "if value >= best_value:"),
     # Thm 2 reads s + L caches instead of s + L - 1
@@ -46,6 +54,8 @@ MUTANTS: tuple[tuple[str, str, str], ...] = (
         "D = lcm(*(f.denominator for _, a, b in terms for f in (a, b)))",
         "D = lcm(*(a.denominator for _, a, b in terms))",
     ),
+    # a witness that is not a dict is not refused up front
+    ("bounds.py", "if not isinstance(witness, dict):", "if False:"),
     # lemma 2's lambda is 1/2 exactly where it should be 1
     ("bounds.py", "lam_den = 1 if s * t == L else 2", "lam_den = 2 if s * t == L else 1"),
     # Thm 2's l range stops one short
@@ -70,6 +80,8 @@ MUTANTS: tuple[tuple[str, str, str], ...] = (
     ),
     # schemes: the worst-case rate is the last demand's rate
     ("schemes.py", "worst = max(worst, transmission.rate)", "worst = transmission.rate"),
+    # schemes: a library's seed is not checked
+    ("schemes.py", "if self.seed is not None:", "if False:"),
     # schemes: a demand of the wrong length is not refused
     ("schemes.py", "if len(demand) != params.K:", "if False:"),
     # entropy: the unconditional margins are reversed

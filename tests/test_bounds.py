@@ -269,10 +269,21 @@ class TestBestLowerBound:
             ("cutset_thm1", {"s": 1, "l": 1}),
             ("improved_thm2", {"s": 1}),
             ("best", {"family": "cutset_thm1", "t": 1}),
+            # keys that name a parameter of evaluate_witness or its helpers
+            ("cutset_thm1", {"s": 1, "M": 5}),
+            ("cutset_thm1", {"s": 1, "params": P323}),
+            ("cutset_thm1", {"s": 1, "family": "cutset_thm1"}),
+            ("best", {"family": "cutset_thm1", "s": 1, "M": 5}),
+            ("cutset_thm1", {"s": 1, 2: 3}),
         ],
     )
     def test_witness_keys_must_fit_the_family(self, bound_id, witness):
         with pytest.raises(bounds.InputError, match="cutset_thm1|improved_thm2"):
+            evaluate_witness(P323, bound_id, witness, 0)
+
+    @pytest.mark.parametrize("bound_id,witness", [("cutset_thm1", "s"), ("best", "s"), ("best", None)])
+    def test_non_dict_witness_refused(self, bound_id, witness):
+        with pytest.raises(InputTypeError, match=f"^a witness must be a dict, got {re.escape(repr(witness))}$"):
             evaluate_witness(P323, bound_id, witness, 0)
 
 

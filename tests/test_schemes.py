@@ -103,6 +103,12 @@ class TestBitHelpers:
             with pytest.raises(InputError):
                 CacheContents(params=P323, M=F(0), F=F_, caches=(b"",) * 3)
 
+    @pytest.mark.parametrize("seed", [True, 1.5, "0", -1])
+    def test_library_seed_follows_the_random_rule(self, seed):
+        # the seed a report would carry is refused as FileLibrary.random refuses it
+        with pytest.raises(InputError, match="seed"):
+            FileLibrary(P323, 2, (bytes(2),) * 3, seed=seed)
+
     def test_cache_memory_is_read_by_as_memory(self):
         caches = (bytes(1),) * 3  # M*F = 1 bit each
         assert CacheContents(P323, "1/2", 2, caches).M == F(1, 2)

@@ -1,10 +1,13 @@
 """Package structure: every intra-package import sits at module top and the
 modules form an acyclic graph, with serialize at the bottom beside params;
-the package loads entropy (and numpy) only on first use.  The tests' bound
-oracles, in tests/oracles.py, share no code with it."""
+the package loads each module (and numpy, with entropy) only on first use.
+The tests' bound oracles, in tests/oracles.py, share no code with it."""
 
 import ast
 import importlib.util
+import json
+import subprocess
+import sys
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
@@ -75,7 +78,30 @@ def test_walker_sees_the_package_imports():
     assert {"__init__", "bounds", "schemes", "serialize", "params"} <= IMPORTS["cli"][0]
     assert "entropy" not in IMPORTS["cli"][0]
     assert "params" in IMPORTS["bounds"][0]
-    assert {"bounds", "entropy"} <= IMPORTS["__init__"][0]
+    assert IMPORTS["__init__"] == ({"bounds", "params", "schemes", "tradeoff", "entropy"}, set())
+
+
+def test_package_import_loads_no_submodule():
+    probe = (
+        "import json, sys, macckit\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in ('macckit', 'numpy'))))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, cwd=PACKAGE.parent, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == ["macckit"]
+
+
+def test_package_lookup_follows_a_patched_module(monkeypatch):
+    # nothing is cached in the package, so a patched (e.g. traced) function
+    # is what the package hands out, and the original once the patch is undone
+    original = macckit.bounds.best_lower_bound
+    sentinel = object()
+    monkeypatch.setattr(macckit.bounds, "best_lower_bound", sentinel)
+    assert macckit.best_lower_bound is sentinel
+    monkeypatch.undo()
+    assert macckit.best_lower_bound is original
 
 
 def test_dir_lists_every_export():
