@@ -207,17 +207,6 @@ def _terms(family: Family, params: MaccParams) -> Iterator[Term]:
         yield (witness, *family.coeffs(params, **witness))
 
 
-def _term_value(family: Family, params: MaccParams, M: MemoryLike, witness: dict) -> Fraction:
-    m = as_memory(M)
-    try:
-        intercept, slope = family.coeffs(params, **witness)
-    except InputError:  # a witness value coeffs refused names itself
-        raise
-    except TypeError as exc:  # a missing, unknown, extra or non-str witness key
-        raise InputError(f"witness {witness} does not fit {family.id}: {exc}") from exc
-    return intercept - slope * m
-
-
 def _points(params: MaccParams, bound_id: str, grid: Sequence[Fraction]) -> tuple[BoundPoint, ...]:
     """The bound maximized at each point of a checked grid, () when it is
     inapplicable; the only place terms are enumerated, once per call.  best's
@@ -244,24 +233,24 @@ def _points(params: MaccParams, bound_id: str, grid: Sequence[Fraction]) -> tupl
 
 def cutset_term(params: MaccParams, s: int, M: MemoryLike) -> Fraction:
     """Value of the cut-set term for a given s: s - min(s+L-1, K) * M / floor(N/s)."""
-    return _term_value(FAMILIES["cutset_thm1"], params, M, {"s": s})
+    return evaluate_witness(params, "cutset_thm1", {"s": s}, M)
 
 
 def improved_term(params: MaccParams, s: int, l: int, M: MemoryLike) -> Fraction:
     """Value of the refined term at (s, l):
     (1/l) * (N - (1 - p/K)(N - l*s)^+ - (N - l*K)^+ - p*M), p = min(s+L-1, K)."""
-    return _term_value(FAMILIES["improved_thm2"], params, M, {"s": s, "l": l})
+    return evaluate_witness(params, "improved_thm2", {"s": s, "l": l}, M)
 
 
 def hkd_lemma2_term(params: MaccParams, s: int, t: int, b: int, M: MemoryLike) -> Fraction:
     """Value of the window-counting term at (s, t, b):
     lambda * min(s*t - L + 1, N/(s*b)) - (t/b) * M, lambda = 1 if s*t == L else 1/2."""
-    return _term_value(FAMILIES["hkd_lemma2"], params, M, {"s": s, "t": t, "b": b})
+    return evaluate_witness(params, "hkd_lemma2", {"s": s, "t": t, "b": b}, M)
 
 
 def hkd2_lemma3_term(params: MaccParams, s: int, M: MemoryLike) -> Fraction:
     """Value of the uncapped cut-set term for a given s: s - (s+L-1) * M / floor(N/s)."""
-    return _term_value(FAMILIES["hkd2_lemma3"], params, M, {"s": s})
+    return evaluate_witness(params, "hkd2_lemma3", {"s": s}, M)
 
 
 # ---------------------------------------------------------------------------
@@ -324,17 +313,27 @@ def evaluate_bound(params: MaccParams, bound_id: str, M: MemoryLike) -> BoundPoi
 
 
 def evaluate_witness(params: MaccParams, bound_id: str, witness: dict, M: MemoryLike) -> Fraction:
-    """Re-evaluate the single term named by a witness (must reproduce R)."""
+    """Re-evaluate the single term named by a witness (must reproduce R); the one witness reader."""
     if not isinstance(witness, dict):
         raise InputTypeError(f"a witness must be a dict, got {witness!r}")
-    if bound_id != BEST:
-        return _term_value(_family(bound_id), params, M, witness)
-    family = witness.get("family")
-    if not isinstance(family, str) or family not in FAMILIES:
-        raise InputError(f"a best witness needs a family in {tuple(FAMILIES)}, got {family!r}")
-    inner = {k: v for k, v in witness.items() if k not in ("family", "clamped")}
-    value = _term_value(FAMILIES[family], params, M, inner)
-    return max(Fraction(0), value) if witness.get("clamped") else value
+    if bound_id == BEST:
+        family = witness.get("family")
+        if not isinstance(family, str) or family not in FAMILIES:
+            raise InputError(f"a best witness needs a family in {tuple(FAMILIES)}, got {family!r}")
+        if witness.get("clamped", True) is not True:
+            raise InputError(f"a best witness's clamped flag can only be True, got {witness['clamped']!r}")
+        inner = {k: v for k, v in witness.items() if k not in ("family", "clamped")}
+        value = evaluate_witness(params, family, inner, M)
+        return max(Fraction(0), value) if "clamped" in witness else value
+    family = _family(bound_id)
+    m = as_memory(M)
+    try:
+        intercept, slope = family.coeffs(params, **witness)
+    except InputError:  # a witness value coeffs refused names itself
+        raise
+    except TypeError as exc:  # a missing, unknown, extra or non-str witness key
+        raise InputError(f"witness {witness} does not fit {family.id}: {exc}") from exc
+    return intercept - slope * m
 
 
 # ---------------------------------------------------------------------------

@@ -180,10 +180,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="sweep bound families over a memory grid")
     _add_params(p, None)
+    names = [*(family.aliases[0] for family in bounds.FAMILIES.values()), bounds.BEST]
     p.add_argument(
         "--families",
-        default="cutset,improved,hkd,hkd2,best",
-        help="comma-separated families (aliases: cutset, improved, hkd, hkd2, best)",
+        default=",".join(names),
+        help=f"comma-separated families (aliases: {', '.join(names)})",
     )
     p.add_argument("--grid", default=None, help="memory grid start:stop:count, e.g. 0:3/2:151")
     p.add_argument("--format", choices=("csv", "json"), default="csv")

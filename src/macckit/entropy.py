@@ -49,11 +49,13 @@ class JointPmf:
     def __post_init__(self) -> None:
         sizes = _sizes(self.alphabet_sizes)
         object.__setattr__(self, "alphabet_sizes", sizes)
-        probs = np.asarray(self.probs, dtype=np.float64)
+        probs = np.asarray(self.probs)
+        if probs.dtype.kind not in "iuf":  # bool, str, object, complex: refused, not coerced
+            raise InputTypeError(f"probs must hold ints or floats, got dtype {probs.dtype}")
+        probs = probs.astype(np.float64)  # a copy, frozen below
         if probs.shape != sizes:
             raise InputError(f"probs shape {probs.shape} != alphabet sizes {sizes}")
         _check_tables(probs[np.newaxis])
-        probs = probs.copy()
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
 

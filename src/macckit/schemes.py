@@ -179,9 +179,8 @@ class Scheme(abc.ABC):
             return
         if len(demand) != params.K:
             raise InputError(f"demand vector has {len(demand)} entries, expected K={params.K}")
-        # require_int's rule, inlined: this runs once per delivered demand
-        if any(not isinstance(x, int) or isinstance(x, bool) or not 1 <= x <= params.N for x in demand):
-            raise InputError(f"demand entries must be ints in [1, N={params.N}]: {demand}")
+        for n in demand:
+            require_int("demand entry", n, 1, params.N)
 
     @abc.abstractmethod
     def place(self, library: FileLibrary) -> CacheContents:

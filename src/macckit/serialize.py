@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import sys
 from dataclasses import asdict
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -28,14 +30,18 @@ def fraction_str(x: Fraction) -> str:
 
 
 def decimal_str(x: Fraction) -> str:
-    """12-significant-digit decimal approximation.  A value beyond the float
-    range is divided out in decimal.Decimal instead, in the same layout."""
+    """12-significant-digit decimal approximation.  A non-zero value beyond
+    the float range at either end (below sys.float_info.min floats lose
+    digits) is divided out in decimal.Decimal instead, in the same layout."""
     try:
-        return f"{float(x):.12g}"
+        value = float(x)
     except OverflowError:
-        with localcontext() as context:
-            context.prec = 12
-            return f"{(Decimal(x.numerator) / x.denominator).normalize():.12g}"
+        value = math.inf
+    if not x or sys.float_info.min <= abs(value) < math.inf:
+        return f"{value:.12g}"
+    with localcontext() as context:
+        context.prec = 12
+        return f"{(Decimal(x.numerator) / x.denominator).normalize():.12g}"
 
 
 def witness_str(witness: dict) -> str:

@@ -56,6 +56,14 @@ MUTANTS: tuple[tuple[str, str, str], ...] = (
     ),
     # a witness that is not a dict is not refused up front
     ("bounds.py", "if not isinstance(witness, dict):", "if False:"),
+    # a best witness's clamped flag passes whatever its value
+    ("bounds.py", 'if witness.get("clamped", True) is not True:', "if False:"),
+    # a clamped best witness replays without the clamp
+    (
+        "bounds.py",
+        'return max(Fraction(0), value) if "clamped" in witness else value',
+        "return value",
+    ),
     # lemma 2's lambda is 1/2 exactly where it should be 1
     ("bounds.py", "lam_den = 1 if s * t == L else 2", "lam_den = 2 if s * t == L else 1"),
     # Thm 2's l range stops one short
@@ -65,7 +73,13 @@ MUTANTS: tuple[tuple[str, str, str], ...] = (
     # dominance does not check improved >= cutset at M = 0
     ("bounds.py", "lemma3.R, m <= full_access)", "lemma3.R, 0 < m <= full_access)"),
     # serialize: decimals with 11 significant digits instead of 12
-    ("serialize.py", 'f"{float(x):.12g}"', 'f"{float(x):.11g}"'),
+    ("serialize.py", 'f"{value:.12g}"', 'f"{value:.11g}"'),
+    # serialize: a value below the smallest normal float is written from the float
+    (
+        "serialize.py",
+        "if not x or sys.float_info.min <= abs(value) < math.inf:",
+        "if not x or abs(value) < math.inf:",
+    ),
     # params: a bool passes as an int
     ("params.py", "if not isinstance(value, int) or isinstance(value, bool):", "if not isinstance(value, int):"),
     # tradeoff: the (3, 2, 3) optimum's middle piece has the wrong slope
@@ -84,6 +98,8 @@ MUTANTS: tuple[tuple[str, str, str], ...] = (
     ("schemes.py", "if self.seed is not None:", "if False:"),
     # schemes: a demand of the wrong length is not refused
     ("schemes.py", "if len(demand) != params.K:", "if False:"),
+    # schemes: a demand entry above N is not refused
+    ("schemes.py", 'require_int("demand entry", n, 1, params.N)', 'require_int("demand entry", n, 1)'),
     # entropy: the unconditional margins are reversed
     (
         "entropy.py",
@@ -96,6 +112,8 @@ MUTANTS: tuple[tuple[str, str, str], ...] = (
     ("entropy.py", "margins < -tol", "margins < -2 * tol"),
     # entropy: a tiny negative probability passes
     ("entropy.py", "if (tables < 0).any():", "if (tables < -1e-300).any():"),
+    # entropy: a table's dtype is not checked, so a bool table is coerced
+    ("entropy.py", 'if probs.dtype.kind not in "iuf":', "if False:"),
 )
 
 #: (file, old, new) -> why the mutant cannot change behaviour

@@ -275,11 +275,23 @@ class TestBestLowerBound:
             ("cutset_thm1", {"s": 1, "family": "cutset_thm1"}),
             ("best", {"family": "cutset_thm1", "s": 1, "M": 5}),
             ("cutset_thm1", {"s": 1, 2: 3}),
+            # clamped belongs to best's witnesses only
+            ("cutset_thm1", {"s": 1, "clamped": True}),
         ],
     )
     def test_witness_keys_must_fit_the_family(self, bound_id, witness):
         with pytest.raises(bounds.InputError, match="cutset_thm1|improved_thm2"):
             evaluate_witness(P323, bound_id, witness, 0)
+
+    @pytest.mark.parametrize("clamped", ["no", 1, False, None, "True"])
+    def test_best_clamped_flag_can_only_be_true(self, clamped):
+        # at M = N the cut-set term at s = 1 is -1; only clamped: True raises it to 0
+        witness = {"family": "cutset_thm1", "s": 1}
+        assert evaluate_witness(P323, "best", witness, 3) == -1
+        assert evaluate_witness(P323, "best", {**witness, "clamped": True}, 3) == 0
+        message = f"a best witness's clamped flag can only be True, got {clamped!r}"
+        with pytest.raises(bounds.InputError, match=f"^{re.escape(message)}$"):
+            evaluate_witness(P323, "best", {**witness, "clamped": clamped}, 3)
 
     @pytest.mark.parametrize("bound_id,witness", [("cutset_thm1", "s"), ("best", "s"), ("best", None)])
     def test_non_dict_witness_refused(self, bound_id, witness):

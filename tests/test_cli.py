@@ -106,6 +106,15 @@ class TestBoundsCommand:
         assert len(rows) == 101
         assert (rows[0]["M_decimal"], rows[-1]["M_decimal"], rows[-1]["R_decimal"]) == ("0", "1e+400", "0")
 
+    def test_memory_below_float_range(self, tmp_path):
+        # M = 10^-400 rounds to 0.0 as a float; its decimal is computed in Decimal
+        out = tmp_path / "curves.csv"
+        code = run_cli("bounds", "--K", "2", "--L", "1", "--N", "9" * 400, "--families", "cutset",
+                       "--grid", "0:1/1" + "0" * 400 + ":2", "--out", str(out))
+        assert code == EXIT_OK
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [row["M_decimal"] for row in rows] == ["0", "1e-400"]
+
     def test_out_dir_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MACCKIT_OUT_DIR", str(tmp_path))
         code = run_cli("bounds", "--K", "3", "--L", "2", "--N", "3", "--grid", "0:1:3")

@@ -14,7 +14,7 @@ from macckit import (
     run_sliding_window_batch,
     window_entropy_sum,
 )
-from macckit.params import InputError
+from macckit.params import InputError, InputTypeError
 
 
 def uniform(sizes):
@@ -58,6 +58,19 @@ class TestJointPmf:
                 JointPmf(sizes, np.full((1, 2), 0.5))
         with pytest.raises(InputError, match="must be an int"):
             JointPmf.random((2.5, 2), np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "table", [["a", "b"], [True, False], [0.5 + 0j, 0.5], np.array([0.5, 0.5], dtype=object)]
+    )
+    def test_table_of_wrong_type_refused(self, table):
+        # the table's dtype is checked before it is coerced to float64
+        with pytest.raises(InputTypeError, match="^probs must hold ints or floats, got dtype "):
+            JointPmf((2,), table)
+
+    def test_int_and_float32_tables_pass(self):
+        assert JointPmf((2,), [1, 0]).probs.tolist() == [1.0, 0.0]
+        pmf = JointPmf((2,), np.array([0.5, 0.5], dtype=np.float32))
+        assert pmf.probs.dtype == np.float64 and not pmf.probs.flags.writeable
 
     def test_rejects_nan_tables(self):
         # NaN compares False against both the sign and the sum check

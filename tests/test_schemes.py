@@ -146,6 +146,14 @@ class TestBitHelpers:
             with pytest.raises(InputError):
                 scheme.check_library(library, demand)
 
+    @pytest.mark.parametrize("demand", [(1, 2, 3.0), (1.5, 1, 1), (True, 1, 1), ("1", 2, 3)])
+    def test_demand_entry_of_wrong_type_is_a_type_error(self, demand):
+        # check_library reads each entry with require_int, so a float is refused as a type
+        library = FileLibrary.random(P323, 12, seed=11)
+        for scheme in (scheme_appendix_b(), scheme_full_access_corner_323(), scheme_zero_memory()):
+            with pytest.raises(InputTypeError, match="^demand entry must be an int"):
+                scheme.deliver(library, demand)
+
 
 class TestCodedPlacement323:
     def test_all_demands_decode_on_random_library(self):

@@ -56,6 +56,17 @@ def test_fraction_formats():
     assert decimal_str(F(-(10**400))) == "-1e+400"
 
 
+def test_decimals_below_float_range():
+    # below the smallest normal float a float rounds to 0 or loses digits, so
+    # the 12 digits come from decimal.Decimal too
+    assert decimal_str(F(1, 10**400)) == "1e-400"
+    assert decimal_str(F(-1, 10**400)) == "-1e-400"
+    assert decimal_str(F(3, 10**320)) == "3e-320"
+    assert decimal_str(F(2, 3 * 10**330)) == "6.66666666667e-331"
+    assert decimal_str(F(1, 10**300)) == "1e-300"
+    assert decimal_str(F(0)) == "0"
+
+
 def test_witness_encoding():
     assert witness_str({"s": 1, "l": 2}) == "s=1;l=2"
     assert witness_str({"family": "best", "s": 3}) == "family=best;s=3"
