@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Callable, Iterator, Sequence
 
@@ -196,6 +197,8 @@ FAMILY_IDS = (*FAMILIES, BEST)
 
 
 def _family(bound_id: str) -> Family:
+    if not isinstance(bound_id, str):
+        raise InputTypeError(f"a bound id must be a str, got {bound_id!r}")
     if bound_id not in FAMILIES:
         raise InputError(f"unknown bound id {bound_id!r}; expected one of {FAMILY_IDS}")
     return FAMILIES[bound_id]
@@ -207,19 +210,29 @@ def _terms(family: Family, params: MaccParams) -> Iterator[Term]:
         yield (witness, *family.coeffs(params, **witness))
 
 
-def _points(params: MaccParams, bound_id: str, grid: Sequence[Fraction]) -> tuple[BoundPoint, ...]:
-    """The bound maximized at each point of a checked grid, () when it is
-    inapplicable; the only place terms are enumerated, once per call.  best's
-    terms are every family's in registry order, tagged with the family, so the
-    first strict maximum wins across families as within one; clamped at 0."""
-    if bound_id != BEST:
-        terms, D = _scale(list(_terms(_family(bound_id), params)))
-        return tuple(_maximize(terms, D, m) for m in grid) if terms else ()
-    terms, D = _scale([
-        ({"family": name, **witness}, a, b)
-        for name, family in FAMILIES.items()
+@lru_cache(maxsize=len(FAMILY_IDS))
+def _scaled_terms(
+    params: MaccParams, bound_id: str, families: tuple[Family, ...]
+) -> tuple[list[ScaledTerm], int]:
+    """The id's scaled terms, from its one family or best's four (each witness
+    then tagged with its family).  The cache holds every id of one network and
+    is keyed by the Family objects, so a replaced FAMILIES entry is read anew."""
+    return _scale([
+        ({"family": family.id, **witness} if bound_id == BEST else witness, a, b)
+        for family in families
         for witness, a, b in _terms(family, params)
     ])
+
+
+def _points(params: MaccParams, bound_id: str, grid: Sequence[Fraction]) -> tuple[BoundPoint, ...]:
+    """The bound maximized at each point of a checked grid, () when it is
+    inapplicable; the only place terms are enumerated (by _scaled_terms), once
+    per network.  best's terms are every family's in registry order, so the
+    first strict maximum wins across families as within one; clamped at 0."""
+    families = tuple(FAMILIES.values()) if bound_id == BEST else (_family(bound_id),)
+    terms, D = _scaled_terms(params, bound_id, families)
+    if bound_id != BEST:
+        return tuple(_maximize(terms, D, m) for m in grid) if terms else ()
     points = (_maximize(terms, D, m) for m in grid)
     return tuple(
         p if p.R >= 0 else BoundPoint(p.M, Fraction(0), {**p.witness, "clamped": True}) for p in points

@@ -10,6 +10,7 @@ deterministic: identical flags and seed produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import traceback
@@ -170,6 +171,7 @@ def _add_params(parser: argparse.ArgumentParser, default: tuple[int, int, int] |
         parser.add_argument(f"--{name}", type=int, required=default is None, default=value, help=text)
 
 
+@functools.cache  # parsing keeps no state on the parser, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="macckit",

@@ -64,6 +64,19 @@ MUTANTS: tuple[tuple[str, str, str], ...] = (
         'return max(Fraction(0), value) if "clamped" in witness else value',
         "return value",
     ),
+    # a returned witness is the cached dict itself, so a caller can change the next query's
+    ("bounds.py", "witness=dict(best)", "witness=best"),
+    # the term cache is keyed on (params, bound_id) alone, so a replaced family goes unseen
+    (
+        "bounds.py",
+        "@lru_cache(maxsize=len(FAMILY_IDS))",
+        "@lambda f: (lambda seen: lambda params, bound_id, families: "
+        "seen.setdefault((params, bound_id), f(params, bound_id, families)))({})",
+    ),
+    # the term cache keeps every network it has seen
+    ("bounds.py", "@lru_cache(maxsize=len(FAMILY_IDS))", "@lru_cache(maxsize=None)"),
+    # a bound id that is not a str is not refused up front
+    ("bounds.py", "if not isinstance(bound_id, str):", "if False:"),
     # lemma 2's lambda is 1/2 exactly where it should be 1
     ("bounds.py", "lam_den = 1 if s * t == L else 2", "lam_den = 2 if s * t == L else 1"),
     # Thm 2's l range stops one short

@@ -395,6 +395,56 @@ class TestVerifyDominance:
         assert report.to_dict()["violations"] == list(report.violations)
 
 
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda bound_id: evaluate_bound(P323, bound_id, 0),
+        lambda bound_id: evaluate_witness(P323, bound_id, {"s": 1}, 0),
+        lambda bound_id: sweep_curve(P323, bound_id, [0, 1]),
+    ],
+    ids=["evaluate_bound", "evaluate_witness", "sweep_curve"],
+)
+@pytest.mark.parametrize("bound_id", [["x"], {"a": 1}, None], ids=["list", "dict", "None"])
+def test_bound_id_of_wrong_type_is_a_type_error(query, bound_id):
+    message = f"a bound id must be a str, got {bound_id!r}"
+    with pytest.raises(InputTypeError, match=f"^{re.escape(message)}$"):
+        query(bound_id)
+
+
+class TestTermCache:
+    """bounds keeps the scaled term lists of the most recent network."""
+
+    def test_a_mutated_witness_does_not_reach_the_next_query(self):
+        cases = ((best_lower_bound, {"family": "cutset_thm1", "s": 1}), (cutset_bound, {"s": 1}))
+        for query, expected in cases:
+            assert query(P323, 1).witness == expected
+            query(P323, 1).witness["s"] = 99
+            assert query(P323, 1).witness == expected
+
+    def test_a_replaced_family_is_enumerated_anew(self, monkeypatch):
+        M = F(5, 6)
+        improved = FAMILIES["improved_thm2"]
+        before = improved_bound(P323, M), best_lower_bound(P323, M)
+        assert before[1].witness["family"] == "improved_thm2"
+
+        def raised(params, **witness):
+            intercept, slope = improved.coeffs(params, **witness)
+            return intercept + 1, slope
+
+        monkeypatch.setitem(FAMILIES, "improved_thm2", dataclasses.replace(improved, coeffs=raised))
+        assert improved_bound(P323, M).R == before[0].R + 1
+        assert best_lower_bound(P323, M) == dataclasses.replace(before[1], R=before[1].R + 1)
+        monkeypatch.undo()
+        assert (improved_bound(P323, M), best_lower_bound(P323, M)) == before
+
+    def test_the_cache_holds_one_network(self):
+        for K in range(1, 7):
+            for N in range(1, 7):
+                for bound_id in FAMILY_IDS:
+                    evaluate_bound(MaccParams(K, 1, N), bound_id, 0)
+        assert 0 < bounds._scaled_terms.cache_info().currsize <= len(FAMILY_IDS)
+
+
 def test_single_point_evaluation_matches_sweep():
     # the single-point and whole-grid paths must agree on R and on the
     # first-in-order witness, for every id including best and inapplicable ones

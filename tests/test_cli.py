@@ -349,6 +349,21 @@ def _child(*argv, cwd=None):
     )
 
 
+def test_one_parser_serves_calls_with_different_flags(tmp_path):
+    # the parser is built once per process, so no call's flags may reach the next
+    network = ("--K", "3", "--L", "2", "--N", "3")
+    first, second, fresh = (tmp_path / name for name in ("first.json", "second.csv", "fresh.csv"))
+    assert run_cli("bounds", *network, "--families", "cutset", "--grid", "0:1:3",
+                   "--format", "json", "--out", str(first)) == EXIT_OK
+    assert run_cli("bounds", *network, "--out", str(second)) == EXIT_OK
+    proc = _child("-m", "macckit.cli", "bounds", *network, "--out", str(fresh))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert second.read_bytes() == fresh.read_bytes()
+    assert run_cli("bounds", *network, "--bogus") == EXIT_USAGE
+    assert run_cli("bounds", *network, "--out", str(second)) == EXIT_OK
+    assert second.read_bytes() == fresh.read_bytes()
+
+
 def test_module_entry_point_exit_code():
     proc = _child("-m", "macckit.cli", "simulate", "--scheme", "appendix-b", "--F", "10")
     assert proc.returncode == EXIT_USAGE
