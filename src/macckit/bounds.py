@@ -70,19 +70,24 @@ def _scale(terms: Sequence[Term]) -> tuple[list[ScaledTerm], int]:
     return scaled, D
 
 
-def _maximize(terms: Sequence[ScaledTerm], D: int, M: Fraction) -> BoundPoint:
-    """Maximum of (A - B * M) / D over a non-empty scaled term list.  With
-    M = p/q the terms are compared as the integers A*q - B*p, and R is built
-    as an exact Fraction for the winner only.  The first maximizer in list
-    order wins, which realizes the smallest-parameter tie-breaking rule."""
-    p, q = M.numerator, M.denominator
-    best, A, B = terms[0]
-    best_value = A * q - B * p
-    for witness, A, B in terms[1:]:
-        value = A * q - B * p
-        if value > best_value:
-            best, best_value = witness, value
-    return BoundPoint(M=M, R=Fraction(best_value, D * q), witness=dict(best))
+def _column(terms: Sequence[ScaledTerm], grid: Sequence[Fraction]) -> list[tuple[dict, int]]:
+    """(first maximizer, A*q - B*p) at each M = p/q of a grid, over a non-empty
+    scaled term list: the maximum of (A - B * M) / D is that integer over D*q.
+    The terms are compared as integers, and the first maximizer in list order
+    wins, which realizes the smallest-parameter tie-breaking rule.  The
+    witnesses are the list's own dicts."""
+    first, A0, B0 = terms[0]
+    rest = terms[1:]
+    column = []
+    for M in grid:
+        p, q = M.numerator, M.denominator
+        best, best_value = first, A0 * q - B0 * p
+        for witness, A, B in rest:
+            value = A * q - B * p
+            if value > best_value:
+                best, best_value = witness, value
+        column.append((best, best_value))
+    return column
 
 
 # ---------------------------------------------------------------------------
@@ -214,26 +219,36 @@ def _terms(family: Family, params: MaccParams) -> Iterator[Term]:
 def _scaled_terms(
     params: MaccParams, bound_id: str, families: tuple[Family, ...]
 ) -> tuple[list[ScaledTerm], int]:
-    """The id's scaled terms, from its one family or best's four (each witness
-    then tagged with its family).  The cache holds every id of one network and
-    is keyed by the Family objects, so a replaced FAMILIES entry is read anew."""
-    return _scale([
-        ({"family": family.id, **witness} if bound_id == BEST else witness, a, b)
-        for family in families
-        for witness, a, b in _terms(family, params)
-    ])
+    """The id's scaled terms and their D.  best's join its families' cached
+    lists, each scaled up to their lcm, with each witness tagged with its
+    family.  The cache holds every id of one network and is keyed by the
+    Family objects, so a replaced FAMILIES entry is read anew."""
+    if bound_id != BEST:
+        return _scale(list(_terms(families[0], params)))
+    lists = [(family.id, *_scaled_terms(params, family.id, (family,))) for family in families]
+    D = lcm(*(d for _, _, d in lists))
+    return [
+        ({"family": family_id, **witness}, A * (D // d), B * (D // d))
+        for family_id, terms, d in lists
+        for witness, A, B in terms
+    ], D
 
 
 def _points(params: MaccParams, bound_id: str, grid: Sequence[Fraction]) -> tuple[BoundPoint, ...]:
     """The bound maximized at each point of a checked grid, () when it is
-    inapplicable; the only place terms are enumerated (by _scaled_terms), once
-    per network.  best's terms are every family's in registry order, so the
+    inapplicable; terms are enumerated only by _scaled_terms, once per
+    network.  best's terms are every family's in registry order, so the
     first strict maximum wins across families as within one; clamped at 0."""
     families = tuple(FAMILIES.values()) if bound_id == BEST else (_family(bound_id),)
     terms, D = _scaled_terms(params, bound_id, families)
+    if not terms:
+        return ()
+    points = tuple(
+        BoundPoint(M, Fraction(value, D * M.denominator), dict(witness))
+        for M, (witness, value) in zip(grid, _column(terms, grid))
+    )
     if bound_id != BEST:
-        return tuple(_maximize(terms, D, m) for m in grid) if terms else ()
-    points = (_maximize(terms, D, m) for m in grid)
+        return points
     return tuple(
         p if p.R >= 0 else BoundPoint(p.M, Fraction(0), {**p.witness, "clamped": True}) for p in points
     )
@@ -360,8 +375,9 @@ def uniform_grid(start: MemoryLike, stop: MemoryLike, count: int) -> list[Fracti
     require_int("grid count", count, 2)
     if hi <= lo:
         raise InputError(f"grid needs start < stop, got [{lo}, {hi}]")
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
+    # lo + i * (hi - lo) / n, as one Fraction: (a/b * (n - i) + c/d * i) / n
+    a, b, c, d, n = lo.numerator, lo.denominator, hi.numerator, hi.denominator, count - 1
+    return [Fraction(a * d * (n - i) + c * b * i, b * d * n) for i in range(count)]
 
 
 def default_memory_grid(params: MaccParams) -> list[Fraction]:
@@ -400,7 +416,7 @@ def sweep_curve(params: MaccParams, bound_id: str, m_grid: Sequence[MemoryLike])
 
 @dataclass(frozen=True)
 class DominanceEntry:
-    """Exact family values at one grid point."""
+    """Exact family values at one grid point, and the two margins."""
 
     M: Fraction
     improved: Fraction
@@ -408,6 +424,10 @@ class DominanceEntry:
     lemma3: Fraction
     #: improved >= cutset is only claimed on [0, N/L]
     improved_vs_cutset_checked: bool
+    #: improved - cutset
+    improved_margin: Fraction
+    #: cutset - lemma3
+    cutset_margin: Fraction
 
 
 @dataclass(frozen=True)
@@ -423,6 +443,7 @@ class DominanceReport:
         return not self.violations
 
     def to_dict(self) -> dict:
+        """The report as plain data, in new dicts: editing it leaves the report as it was."""
         return {
             "params": asdict(self.params),
             "points": [
@@ -432,37 +453,52 @@ class DominanceReport:
                     "cutset_thm1": fraction_str(e.cutset),
                     "hkd2_lemma3": fraction_str(e.lemma3),
                     "improved_vs_cutset_checked": e.improved_vs_cutset_checked,
-                    "improved_margin": fraction_str(e.improved - e.cutset),
-                    "cutset_margin": fraction_str(e.cutset - e.lemma3),
+                    "improved_margin": fraction_str(e.improved_margin),
+                    "cutset_margin": fraction_str(e.cutset_margin),
                 }
                 for e in self.entries
             ],
-            "violations": list(self.violations),
+            "violations": [dict(v) for v in self.violations],
         }
 
 
 def verify_dominance(params: MaccParams, m_grid: Sequence[MemoryLike]) -> DominanceReport:
     """Check the two dominance relations on a strictly increasing grid with
     exact comparison: improved >= cutset (grid points above N/L are skipped
-    for this check) and cutset >= lemma3 (everywhere on [0, N])."""
+    for this check) and cutset >= lemma3 (everywhere on [0, N]).  Each
+    family's column of integers (value v at M = p/q, over D*q) is compared
+    in integers; each value and margin becomes one Fraction."""
     grid = _grid(params, m_grid)
-    full_access = Fraction(params.N, params.L)
-    names = ("improved_thm2", "cutset_thm1", "hkd2_lemma3")
-    curves = (_points(params, name, grid) for name in names)
-    entries = tuple(
-        DominanceEntry(m, improved.R, cutset.R, lemma3.R, m <= full_access)
-        for m, improved, cutset, lemma3 in zip(grid, *curves)
-    )
-    violations = tuple(
-        {"check": check, "M": fraction_str(e.M), "lhs": fraction_str(lhs), "rhs": fraction_str(rhs)}
-        for e in entries
-        for check, applies, lhs, rhs in (
-            ("improved_vs_cutset", e.improved_vs_cutset_checked, e.improved, e.cutset),
-            ("cutset_vs_lemma3", True, e.cutset, e.lemma3),
+    columns = []
+    for name in ("improved_thm2", "cutset_thm1", "hkd2_lemma3"):
+        terms, D = _scaled_terms(params, name, (FAMILIES[name],))
+        columns.append((D, [value for _, value in _column(terms, grid)]))
+    (D_I, col_I), (D_C, col_C), (D_3, col_3) = columns
+    entries, failed = [], []
+    for M, v_I, v_C, v_3 in zip(grid, col_I, col_C, col_3):
+        q = M.denominator
+        improved_margin = v_I * D_C - v_C * D_I
+        cutset_margin = v_C * D_3 - v_3 * D_C
+        checked = M.numerator * params.L <= params.N * q
+        e = DominanceEntry(
+            M,
+            Fraction(v_I, D_I * q),
+            Fraction(v_C, D_C * q),
+            Fraction(v_3, D_3 * q),
+            checked,
+            Fraction(improved_margin, D_I * D_C * q),
+            Fraction(cutset_margin, D_C * D_3 * q),
         )
-        if applies and lhs < rhs
+        entries.append(e)
+        if checked and improved_margin < 0:
+            failed.append(("improved_vs_cutset", M, e.improved, e.cutset))
+        if cutset_margin < 0:
+            failed.append(("cutset_vs_lemma3", M, e.cutset, e.lemma3))
+    violations = tuple(
+        {"check": check, "M": fraction_str(M), "lhs": fraction_str(lhs), "rhs": fraction_str(rhs)}
+        for check, M, lhs, rhs in failed
     )
-    return DominanceReport(params=params, entries=entries, violations=violations)
+    return DominanceReport(params=params, entries=tuple(entries), violations=violations)
 
 
 def uncoded_threshold_gap(params: MaccParams) -> tuple[Fraction, Fraction]:

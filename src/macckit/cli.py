@@ -107,7 +107,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     report = bounds.verify_dominance(params, grid)
     path = _output_path(args, f"dominance_K{params.K}_L{params.L}_N{params.N}.json")
-    _write_text(path, lambda stream: serialize.write_json_report(stream, report.to_dict()))
+    _write_text(path, lambda stream: serialize.write_dominance_report(stream, report.to_dict()))
     if report.ok:
         print(f"dominance holds at all {len(report.entries)} grid points; report: {path}")
         return EXIT_OK

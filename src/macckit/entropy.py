@@ -231,7 +231,7 @@ class BatchReport:
             "trials": self.trials,
             "tol": self.tol,
             "min_margin": self.min_margin,
-            "failures": list(self.failures),
+            "failures": [dict(f) for f in self.failures],
         }
 
 

@@ -54,7 +54,10 @@ def as_memory(M: MemoryLike) -> Fraction:
     """M as an exact Fraction: the package's one reader of rationals.  An int,
     a Fraction or a string like '2/3' passes; a malformed string or a zero
     denominator is an InputError, any other type (a float, bool, None or
-    numpy scalar) an InputTypeError."""
+    numpy scalar) an InputTypeError.  A Fraction of exactly that type is
+    returned as it is; a subclass comes back as a new Fraction."""
+    if type(M) is Fraction:
+        return M
     if isinstance(M, str):
         try:
             return Fraction(M)

@@ -15,13 +15,19 @@ import sys
 from dataclasses import asdict
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import IO, Sequence
+from typing import IO, Iterator, Sequence
 
 CURVE_CSV_HEADER = ("M", "R", "family", "witness", "M_decimal", "R_decimal")
 POINTS_CSV_HEADER = ("M", "R", "scheme_id")
-_ROWS = "\x00rows"  # stands in for the per_demand rows while the rest is encoded
-# one per_demand row as json.dump(..., indent=2) lays it out under a top-level key
+_ROWS = "\x00rows"  # stands in for a report's rows while the rest is encoded
+# one row of a top-level list as json.dump(..., indent=2) lays it out: a
+# simulation report's per_demand row and a dominance report's point
 _ROW = '{\n      "d": [\n        %s\n      ],\n      "rate": "%s",\n      "pass": %s\n    }'
+_POINT = (
+    '{\n      "M": "%s",\n      "improved_thm2": "%s",\n      "cutset_thm1": "%s",\n'
+    '      "hkd2_lemma3": "%s",\n      "improved_vs_cutset_checked": %s,\n'
+    '      "improved_margin": "%s",\n      "cutset_margin": "%s"\n    }'
+)
 
 
 def fraction_str(x: Fraction) -> str:
@@ -105,15 +111,34 @@ def write_json_report(stream: IO[str], payload: dict) -> None:
     stream.write("\n")
 
 
-def write_simulation_report(stream: IO[str], payload: dict) -> None:
-    """A VerificationReport.to_dict() (non-empty per_demand) as write_json_report
-    writes it, with the rows streamed from one template instead of json's encoder."""
-    text = json.dumps({**payload, "per_demand": [_ROWS]}, indent=2, allow_nan=False)
+def _write_rows(stream: IO[str], payload: dict, key: str, rows: Iterator[str]) -> None:
+    """payload as write_json_report writes it, with the rows of its non-empty
+    top-level list payload[key] written from their template text instead of
+    json's encoder."""
+    text = json.dumps({**payload, key: [_ROWS]}, indent=2, allow_nan=False)
     head, tail = text.split(json.dumps(_ROWS))
+    stream.write(head + next(rows))
+    stream.writelines(",\n    " + row for row in rows)
+    stream.write(tail + "\n")
+
+
+def write_simulation_report(stream: IO[str], payload: dict) -> None:
+    """A VerificationReport.to_dict() (non-empty per_demand), as write_json_report writes it."""
     rows = (
         _ROW % (",\n        ".join(map(str, row["d"])), row["rate"], "true" if row["pass"] else "false")
         for row in payload["per_demand"]
     )
-    stream.write(head + next(rows))
-    stream.writelines(",\n    " + row for row in rows)
-    stream.write(tail + "\n")
+    _write_rows(stream, payload, "per_demand", rows)
+
+
+def write_dominance_report(stream: IO[str], payload: dict) -> None:
+    """A DominanceReport.to_dict() (non-empty points), as write_json_report writes it."""
+    rows = (
+        _POINT % (
+            p["M"], p["improved_thm2"], p["cutset_thm1"], p["hkd2_lemma3"],
+            "true" if p["improved_vs_cutset_checked"] else "false",
+            p["improved_margin"], p["cutset_margin"],
+        )
+        for p in payload["points"]
+    )
+    _write_rows(stream, payload, "points", rows)

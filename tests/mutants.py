@@ -3,7 +3,10 @@
 Each mutant is (file under src/macckit/, exact old text, new text).  For each
 one the runner copies src/, tests/, perfbench/, pyproject.toml and README.md
 into a fresh temporary directory, replaces the old text in the copy, and runs
-``python -m pytest -q -x -p no:cacheprovider`` there.  The whole tree is
+``python -m pytest -q -x -p no:cacheprovider`` there, on every test module
+with the mutated module's own tests first (tests/test_<module>.py, or
+test_structure.py for __init__.py), so the first failure, which stops the
+run, most often comes early.  The whole tree is
 copied because pyproject.toml puts its own src/ on the path, and some tests
 read perfbench/ and README.md.  Before any mutant runs, each old text must
 occur exactly once, so a stale entry cannot count as killed, and the
@@ -15,7 +18,10 @@ Run from anywhere, with the test dependencies installed:
 
     python tests/mutants.py
 
-It prints one line per mutant and exits 1 if any mutant survives.
+It prints one line per mutant, naming the test that killed it, and exits 1
+if any mutant survives.  A kill counts only if the killing test also fails
+when it runs alone on the mutated copy, so no mutant is killed by the test
+order alone.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import Sequence
 
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "perfbench", "pyproject.toml", "README.md")
@@ -65,7 +72,13 @@ MUTANTS: tuple[tuple[str, str, str], ...] = (
         "return value",
     ),
     # a returned witness is the cached dict itself, so a caller can change the next query's
-    ("bounds.py", "witness=dict(best)", "witness=best"),
+    (
+        "bounds.py",
+        "BoundPoint(M, Fraction(value, D * M.denominator), dict(witness))",
+        "BoundPoint(M, Fraction(value, D * M.denominator), witness)",
+    ),
+    # best joins its families' lists without scaling them to one denominator
+    ("bounds.py", "A * (D // d)", "A"),
     # the term cache is keyed on (params, bound_id) alone, so a replaced family goes unseen
     (
         "bounds.py",
@@ -84,7 +97,23 @@ MUTANTS: tuple[tuple[str, str, str], ...] = (
     # lemma 2's pruned space loses b = 1
     ("bounds.py", "sorted({1, N // cs, -(-N // cs), b_cap})", "sorted({N // cs, -(-N // cs), b_cap})"),
     # dominance does not check improved >= cutset at M = 0
-    ("bounds.py", "lemma3.R, m <= full_access)", "lemma3.R, 0 < m <= full_access)"),
+    (
+        "bounds.py",
+        "checked = M.numerator * params.L <= params.N * q",
+        "checked = 0 < M.numerator * params.L <= params.N * q",
+    ),
+    # dominance does not check improved >= cutset at M = N/L
+    (
+        "bounds.py",
+        "checked = M.numerator * params.L <= params.N * q",
+        "checked = M.numerator * params.L < params.N * q",
+    ),
+    # the improved - cutset margin has its sign swapped
+    ("bounds.py", "improved_margin = v_I * D_C - v_C * D_I", "improved_margin = v_C * D_I - v_I * D_C"),
+    # a dominance payload lists the report's own violation dicts
+    ("bounds.py", '"violations": [dict(v) for v in self.violations],', '"violations": list(self.violations),'),
+    # a uniform grid starts one step late
+    ("bounds.py", "c * b * i, b * d * n) for i in range(count)]", "c * b * (i + 1), b * d * n) for i in range(count)]"),
     # serialize: decimals with 11 significant digits instead of 12
     ("serialize.py", 'f"{value:.12g}"', 'f"{value:.11g}"'),
     # serialize: a value below the smallest normal float is written from the float
@@ -93,6 +122,8 @@ MUTANTS: tuple[tuple[str, str, str], ...] = (
         "if not x or sys.float_info.min <= abs(value) < math.inf:",
         "if not x or abs(value) < math.inf:",
     ),
+    # params: a Fraction subclass is kept as it is, with its own str
+    ("params.py", "if type(M) is Fraction:", "if isinstance(M, Fraction):"),
     # params: a bool passes as an int
     ("params.py", "if not isinstance(value, int) or isinstance(value, bool):", "if not isinstance(value, int):"),
     # tradeoff: the (3, 2, 3) optimum's middle piece has the wrong slope
@@ -127,15 +158,37 @@ MUTANTS: tuple[tuple[str, str, str], ...] = (
     ("entropy.py", "if (tables < 0).any():", "if (tables < -1e-300).any():"),
     # entropy: a table's dtype is not checked, so a bool table is coerced
     ("entropy.py", 'if probs.dtype.kind not in "iuf":', "if False:"),
+    # entropy: a batch payload lists the report's own failure dicts
+    ("entropy.py", '"failures": [dict(f) for f in self.failures],', '"failures": list(self.failures),'),
 )
 
 #: (file, old, new) -> why the mutant cannot change behaviour
 EQUIVALENT: dict[tuple[str, str, str], str] = {}
 
 
-def _suite_passes(mutant: tuple[str, str, str] | None) -> bool:
-    """Whether the tier-1 suite passes on a fresh copy of the tree, with the
-    mutant applied when one is given."""
+def _test_order(file: str) -> list[str]:
+    """Every test module, the mutated module's own tests/test_<module>.py
+    (test_structure.py for the package's __init__.py) first, so that a
+    mutant is most often stopped by its first failing test early in the run."""
+    first = "test_structure.py" if file == "__init__.py" else f"test_{Path(file).stem}.py"
+    modules = sorted(path.name for path in (ROOT / "tests").glob("test_*.py"))
+    return [f"tests/{name}" for name in sorted(modules, key=lambda name: name != first)]
+
+
+def _pytest(copy: Path, args: Sequence[str]) -> subprocess.CompletedProcess | None:
+    """pytest run in the copy on the given tests; None if it overran TIMEOUT_S."""
+    env = {**os.environ, "PYTHONPATH": str(copy / "src")}
+    try:
+        return subprocess.run((*PYTEST, *args), cwd=copy, env=env, capture_output=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None
+
+
+def _judge(mutant: tuple[str, str, str] | None) -> tuple[bool, str]:
+    """(whether the tier-1 suite fails, the test that failed first) on a fresh
+    copy of the tree, with the mutant applied when one is given.  A test that
+    fails in the ordered run but passes alone failed because of the order,
+    so it does not count."""
     with tempfile.TemporaryDirectory(prefix="macckit-mutant-") as tmp:
         copy = Path(tmp)
         for name in COPIED:
@@ -144,18 +197,28 @@ def _suite_passes(mutant: tuple[str, str, str] | None) -> bool:
                 shutil.copytree(source, copy / name, ignore=SKIPPED)
             else:
                 shutil.copy2(source, copy / name)
+        order: list[str] = []
         if mutant is not None:
             file, old, new = mutant
             path = copy / "src" / "macckit" / file
             path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
-        env = {**os.environ, "PYTHONPATH": str(copy / "src")}
-        try:
-            result = subprocess.run(PYTEST, cwd=copy, env=env, capture_output=True, timeout=TIMEOUT_S)
-        except subprocess.TimeoutExpired:
-            return False
+            order = _test_order(file)
+        result = _pytest(copy, order)
+        if result is None:  # a run that overruns counts as a failure of the suite
+            return True, f"a run over {TIMEOUT_S}s"
+        output = result.stdout.decode()
         if result.returncode not in (0, 1):  # 1: a test failed or could not import
-            raise SystemExit(f"pytest exited {result.returncode} on {mutant}:\n{result.stdout.decode()[-2000:]}")
-        return result.returncode == 0
+            raise SystemExit(f"pytest exited {result.returncode} on {mutant}:\n{output[-2000:]}")
+        if result.returncode == 0:
+            return False, ""
+        # pytest's short summary names it: "FAILED tests/test_x.py::test_y - why"
+        failed = [line.split(" ")[1] for line in output.splitlines() if line.startswith(("FAILED ", "ERROR "))]
+        if not failed:
+            return True, "the suite (no test named)"
+        alone = _pytest(copy, failed[:1])
+        if alone is not None and alone.returncode == 0:
+            return False, f"{failed[0]} failed only after other tests"
+        return True, failed[0]
 
 
 def main() -> int:
@@ -164,20 +227,22 @@ def main() -> int:
         count = (ROOT / "src" / "macckit" / file).read_text(encoding="utf-8").count(old)
         if count != 1:
             raise SystemExit(f"stale mutant: {old!r} occurs {count} times in {file}")
-    if not _suite_passes(None):
+    if _judge(None)[0]:
         print("the unmutated copy fails its tests, so no mutant can be judged")
         return 1
     survivors = 0
     for mutant in MUTANTS:
         begun = time.perf_counter()
-        if not _suite_passes(mutant):
+        failed, test = _judge(mutant)
+        if failed:
             verdict = "killed"
         elif mutant in EQUIVALENT:
             verdict = f"equivalent ({EQUIVALENT[mutant]})"
         else:
             verdict, survivors = "SURVIVED", survivors + 1
         file, old, new = mutant
-        print(f"{verdict:8} {time.perf_counter() - begun:6.1f}s  {file}: {old!r} -> {new!r}", flush=True)
+        by = f"  by {test}" if failed else f"  ({test})" if test else ""
+        print(f"{verdict:8} {time.perf_counter() - begun:6.1f}s  {file}: {old!r} -> {new!r}{by}", flush=True)
     print(f"{len(MUTANTS)} mutants, {survivors} survived, {time.perf_counter() - started:.0f}s in all")
     return 1 if survivors else 0
 

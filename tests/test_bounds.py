@@ -5,6 +5,7 @@ invariants."""
 import dataclasses
 import re
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -343,6 +344,18 @@ class TestSweepCurve:
                 uniform_grid(0, 1, count)
 
 
+def shifted_family(bound_id, delta):
+    """FAMILIES[bound_id] with every term's intercept raised by delta, so its
+    maximum is raised by delta at every M."""
+    family = FAMILIES[bound_id]
+
+    def coeffs(params, **witness):
+        intercept, slope = family.coeffs(params, **witness)
+        return intercept + delta, slope
+
+    return dataclasses.replace(family, coeffs=coeffs)
+
+
 class TestVerifyDominance:
     def test_323_dense_grid(self):
         report = verify_dominance(P323, uniform_grid(0, F(3, 2), 100))
@@ -393,6 +406,15 @@ class TestVerifyDominance:
             [("check", "cutset_vs_lemma3"), ("M", "2"), ("lhs", "-1/3"), ("rhs", "2/3")],
         ]
         assert report.to_dict()["violations"] == list(report.violations)
+
+    def test_editing_the_payload_leaves_the_report_alone(self, monkeypatch):
+        # cutset raised by 1 breaks improved >= cutset at M = 0
+        monkeypatch.setitem(FAMILIES, "cutset_thm1", shifted_family("cutset_thm1", 1))
+        report = verify_dominance(P323, [F(0), F(1)])
+        payload = report.to_dict()
+        payload["violations"][0]["M"] = "tampered"
+        assert report.violations[0]["M"] == "0"
+        assert report.to_dict()["violations"][0]["M"] == "0"
 
 
 @pytest.mark.parametrize(
@@ -612,10 +634,11 @@ def term_lists_and_memories(draw):
 def test_integer_kernel_matches_fraction_oracle(case):
     terms, grid = case
     scaled, D = bounds._scale(terms)
-    for M in grid:
-        point = bounds._maximize(scaled, D, M)
-        assert (point.M, point.R, point.witness) == (M, *oracles.first_maximum(terms, M))
-        assert type(point.R) is F
+    column = bounds._column(scaled, grid)
+    assert len(column) == len(grid)
+    for M, (witness, value) in zip(grid, column):
+        assert (F(value, D * M.denominator), witness) == oracles.first_maximum(terms, M)
+        assert type(value) is int
 
 
 @settings(max_examples=60, deadline=None)
@@ -650,3 +673,76 @@ def test_sweep_curve_matches_fraction_oracle(data):
             expected = (M, *oracles.maximum(terms[bound_id], bound_id, M))
             assert (point.M, point.R, point.witness) == expected, (params, bound_id)
             assert type(point.R) is F
+
+
+# ---------------------------------------------------------------------------
+# grids and verify_dominance against Fraction arithmetic
+# ---------------------------------------------------------------------------
+
+
+ends = st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 10**6)) | memories(10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ends, ends, st.integers(2, 60))
+def test_uniform_grid_equals_stepped_sum(x, y, count):
+    lo, hi = sorted((x, y))
+    if lo == hi:
+        hi += 1
+    step = (hi - lo) / (count - 1)
+    grid = uniform_grid(lo, hi, count)
+    assert grid == [lo + i * step for i in range(count)]
+    assert all(type(m) is F for m in grid)
+
+
+DOMINANCE_IDS = ("improved_thm2", "cutset_thm1", "hkd2_lemma3")
+
+
+@st.composite
+def dominance_grids(draw):
+    """A network with K <= 7 and N <= 8 and a grid that may hold N/L and
+    memories where two lines of the three compared families cross."""
+    K = draw(st.integers(min_value=1, max_value=7))
+    L = draw(st.integers(min_value=1, max_value=K))
+    N = draw(st.integers(min_value=1, max_value=8))
+    params = MaccParams(K, L, N)
+    lines = {(a, b) for bound_id in DOMINANCE_IDS for _, a, b in oracles.terms(params, bound_id)}
+    crossings = {(a1 - a2) / (b1 - b2) for a1, b1 in lines for a2, b2 in lines if b1 != b2}
+    special = sorted({m for m in crossings if 0 <= m <= N} | {F(N, L)})
+    candidates = st.sampled_from(special) | memories(N)
+    return params, sorted(set(draw(st.lists(candidates, min_size=1, max_size=6))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dominance_grids(),
+    st.sampled_from((None, *DOMINANCE_IDS)),
+    st.sampled_from((F(-1), F(1, 3), F(1))),
+)
+def test_verify_dominance_matches_fraction_oracle(case, shifted, delta):
+    params, grid = case
+    patch = {shifted: shifted_family(shifted, delta)} if shifted else {}
+    with mock.patch.dict(FAMILIES, patch):
+        report = verify_dominance(params, grid)
+        evaluated = [[evaluate_bound(params, bound_id, M).R for bound_id in DOMINANCE_IDS] for M in grid]
+    violations = []
+    assert len(report.entries) == len(grid)
+    for e, M, values in zip(report.entries, grid, evaluated):
+        # the library's values, and the tests' own formulas with the same shift
+        assert [e.improved, e.cutset, e.lemma3] == values
+        assert values == [
+            oracles.bound(params, bound_id, M)[0] + (delta if bound_id == shifted else 0)
+            for bound_id in DOMINANCE_IDS
+        ]
+        improved, cutset, lemma3 = values
+        assert e.M == M
+        assert (e.improved_margin, e.cutset_margin) == (improved - cutset, cutset - lemma3)
+        assert all(type(x) is F for x in (e.improved, e.cutset, e.lemma3, e.improved_margin, e.cutset_margin))
+        assert e.improved_vs_cutset_checked is (M <= F(params.N, params.L))
+        for check, applies, lhs, rhs in (
+            ("improved_vs_cutset", e.improved_vs_cutset_checked, improved, cutset),
+            ("cutset_vs_lemma3", True, cutset, lemma3),
+        ):
+            if applies and lhs < rhs:
+                violations.append({"check": check, "M": str(M), "lhs": str(lhs), "rhs": str(rhs)})
+    assert list(report.violations) == violations

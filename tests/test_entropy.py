@@ -294,6 +294,16 @@ class TestBatches:
             assert key in payload
         assert payload["alphabets"] == [2, 2, 2]
 
+    def test_editing_the_payload_leaves_the_report_alone(self, monkeypatch):
+        # negated entropies turn the margins into failures
+        entropies = entropy._entropies
+        monkeypatch.setattr(entropy, "_entropies", lambda tables: -entropies(tables))
+        report = run_sliding_window_batch(3, 2, 2, seed=0)
+        payload = report.to_dict()
+        payload["failures"][0]["s"] = "tampered"
+        assert report.failures[0]["s"] == 1
+        assert report.to_dict()["failures"][0]["s"] == 1
+
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError):
             run_sliding_window_batch(3, 2, 0, seed=0)

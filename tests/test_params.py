@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import pytest
 
 from macckit import MaccParams, SubpacketizationError
-from macckit.params import InputError, InputTypeError
+from macckit.params import InputError, InputTypeError, as_memory
 
 
 def test_valid_triples():
@@ -42,3 +44,16 @@ def test_frozen_and_hashable():
         params.K = 4
     assert params == MaccParams(3, 2, 3)
     assert len({params, MaccParams(3, 2, 3)}) == 1
+
+
+def test_as_memory_keeps_an_exact_fraction_and_rebuilds_a_subclass():
+    m = Fraction(2, 3)
+    assert as_memory(m) is m
+
+    class Loud(Fraction):
+        def __str__(self):
+            return "two thirds"
+
+    rebuilt = as_memory(Loud(2, 3))
+    assert type(rebuilt) is Fraction
+    assert (rebuilt, str(rebuilt)) == (m, "2/3")

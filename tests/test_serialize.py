@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -17,6 +18,7 @@ from macckit import (
     scheme_zero_memory,
     sweep_curve,
     uniform_grid,
+    verify_dominance,
     verify_scheme,
 )
 from macckit.serialize import (
@@ -29,6 +31,7 @@ from macckit.serialize import (
     write_achievable_points_csv,
     write_curves_csv,
     write_curves_json,
+    write_dominance_report,
     write_json_report,
     write_simulation_report,
 )
@@ -147,3 +150,20 @@ def test_streamed_rows_equal_json_dump(monkeypatch, scheme, params, F, corrupt):
     streamed = io.StringIO()
     write_simulation_report(streamed, payload)
     assert streamed.getvalue() == json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize(
+    "params, grid",
+    [
+        (P323, uniform_grid(0, 3, 13)),  # negative values and points past N/L
+        (MaccParams(10, 7, 10), uniform_grid(0, F(10, 7), 51)),
+        (MaccParams(1, 1, 1), [F(1, 3)]),
+    ],
+)
+@pytest.mark.parametrize("violations", [(), ({"check": "cutset_vs_lemma3", "M": "1/2", "lhs": "1", "rhs": "3/2"},)])
+def test_streamed_points_equal_json_dump(params, grid, violations):
+    report = dataclasses.replace(verify_dominance(params, grid), violations=violations)
+    expected, streamed = io.StringIO(), io.StringIO()
+    write_json_report(expected, report.to_dict())
+    write_dominance_report(streamed, report.to_dict())
+    assert streamed.getvalue() == expected.getvalue()
