@@ -21,7 +21,8 @@ Run from anywhere, with the test dependencies installed:
 It prints one line per mutant, naming the test that killed it, and exits 1
 if any mutant survives.  A kill counts only if the killing test also fails
 when it runs alone on the mutated copy, so no mutant is killed by the test
-order alone.
+order alone; a test that fails only after others is deselected, and the run
+goes on.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ MUTANTS: tuple[tuple[str, str, str], ...] = (
     # a dominance payload lists the report's own violation dicts
     ("bounds.py", '"violations": [dict(v) for v in self.violations],', '"violations": list(self.violations),'),
     # a uniform grid starts one step late
-    ("bounds.py", "c * b * i, b * d * n) for i in range(count)]", "c * b * (i + 1), b * d * n) for i in range(count)]"),
+    ("bounds.py", "b * d * n) for i in range(count)]", "b * d * n) for i in range(1, count + 1)]"),
     # serialize: decimals with 11 significant digits instead of 12
     ("serialize.py", 'f"{value:.12g}"', 'f"{value:.11g}"'),
     # serialize: a value below the smallest normal float is written from the float
@@ -185,10 +186,10 @@ def _pytest(copy: Path, args: Sequence[str]) -> subprocess.CompletedProcess | No
 
 
 def _judge(mutant: tuple[str, str, str] | None) -> tuple[bool, str]:
-    """(whether the tier-1 suite fails, the test that failed first) on a fresh
-    copy of the tree, with the mutant applied when one is given.  A test that
-    fails in the ordered run but passes alone failed because of the order,
-    so it does not count."""
+    """(whether the tier-1 suite fails, the test that failed) on a fresh copy
+    of the tree, with the mutant applied when one is given.  A test that fails
+    in the ordered run but passes alone failed because of the order, so it
+    does not count: it is deselected and the ordered run goes on."""
     with tempfile.TemporaryDirectory(prefix="macckit-mutant-") as tmp:
         copy = Path(tmp)
         for name in COPIED:
@@ -203,22 +204,25 @@ def _judge(mutant: tuple[str, str, str] | None) -> tuple[bool, str]:
             path = copy / "src" / "macckit" / file
             path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
             order = _test_order(file)
-        result = _pytest(copy, order)
-        if result is None:  # a run that overruns counts as a failure of the suite
-            return True, f"a run over {TIMEOUT_S}s"
-        output = result.stdout.decode()
-        if result.returncode not in (0, 1):  # 1: a test failed or could not import
-            raise SystemExit(f"pytest exited {result.returncode} on {mutant}:\n{output[-2000:]}")
-        if result.returncode == 0:
-            return False, ""
-        # pytest's short summary names it: "FAILED tests/test_x.py::test_y - why"
-        failed = [line.split(" ")[1] for line in output.splitlines() if line.startswith(("FAILED ", "ERROR "))]
-        if not failed:
-            return True, "the suite (no test named)"
-        alone = _pytest(copy, failed[:1])
-        if alone is not None and alone.returncode == 0:
-            return False, f"{failed[0]} failed only after other tests"
-        return True, failed[0]
+        order_only: list[str] = []
+        while True:
+            result = _pytest(copy, [*order, *(f"--deselect={test}" for test in order_only)])
+            if result is None:  # a run that overruns counts as a failure of the suite
+                return True, f"a run over {TIMEOUT_S}s"
+            output = result.stdout.decode()
+            if result.returncode not in (0, 1):  # 1: a test failed or could not import
+                raise SystemExit(f"pytest exited {result.returncode} on {mutant}:\n{output[-2000:]}")
+            notes = [f"{test} failed only after other tests" for test in order_only]
+            if result.returncode == 0:
+                return False, ", ".join(notes)
+            # pytest's short summary names it: "FAILED tests/test_x.py::test_y - why"
+            failed = [line.split(" ")[1] for line in output.splitlines() if line.startswith(("FAILED ", "ERROR "))]
+            if not failed:
+                return True, "the suite (no test named)"
+            alone = _pytest(copy, failed[:1])
+            if alone is None or alone.returncode != 0:
+                return True, ", ".join([failed[0], *notes])
+            order_only.append(failed[0])
 
 
 def main() -> int:
