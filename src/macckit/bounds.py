@@ -3,8 +3,9 @@
 Four bound families are implemented.  Each family is the maximum of finitely
 many affine functions of the cache memory M, so each is convex and
 non-increasing in M.  All arithmetic is exact; no floats enter this module.
-Terms are compared as integers over one common denominator per term list,
-and every R and every single-term value is an exact fractions.Fraction.
+Each term is an integer row (a, b, d), the line (a - b * M) / d; rows are
+compared as integers over one common denominator, and every R and every
+single-term value is one exact fractions.Fraction.
 
 Family identifiers used throughout (curve files, witnesses, CLI); each of
 the four families is defined by one entry of ``FAMILIES``:
@@ -55,19 +56,15 @@ class BoundCurve:
     caps: dict
 
 
-Term = tuple[dict, Fraction, Fraction]  # (witness, intercept, slope)
+Row = tuple[dict, int, int, int]  # (witness, a, b, d): the term is (a - b * M) / d
 ScaledTerm = tuple[dict, int, int]  # (witness, A, B): the term is (A - B * M) / D
 
 
-def _scale(terms: Sequence[Term]) -> tuple[list[ScaledTerm], int]:
-    """The terms over their common denominator D, the lcm of every intercept
-    and slope denominator, as integer terms, with D."""
-    D = lcm(*(f.denominator for _, a, b in terms for f in (a, b)))
-    scaled = [
-        (w, a.numerator * (D // a.denominator), b.numerator * (D // b.denominator))
-        for w, a, b in terms
-    ]
-    return scaled, D
+def _join(lists: Sequence[Sequence[Row]]) -> tuple[list[list[ScaledTerm]], int]:
+    """Every row list over one D, the lcm of every row's d, as scaled term
+    lists in the same order, with D."""
+    D = lcm(*(d for rows in lists for *_, d in rows))
+    return [[(w, a * (D // d), b * (D // d)) for w, a, b, d in rows] for rows in lists], D
 
 
 def _column(terms: Sequence[ScaledTerm], grid: Sequence[Fraction]) -> list[tuple[dict, int]]:
@@ -92,9 +89,9 @@ def _column(terms: Sequence[ScaledTerm], grid: Sequence[Fraction]) -> list[tuple
 
 # ---------------------------------------------------------------------------
 # the family registry: each family is a witness space (in tie-break order:
-# ascending s, then l, then t, then b) and the (intercept, slope) of the term
-# at one witness.  coeffs is the only place a formula is written; it also
-# rejects witnesses outside the space.
+# ascending s, then l, then t, then b) and the integer row (a, b, d) of the
+# term (a - b * M) / d at one witness.  coeffs is the only place a formula is
+# written; it also rejects witnesses outside the space.
 # ---------------------------------------------------------------------------
 
 
@@ -103,14 +100,14 @@ def _cutset_space(params: MaccParams) -> Iterator[dict]:
         yield {"s": s}
 
 
-def _cutset_coeffs(params: MaccParams, s: int) -> tuple[Fraction, Fraction]:
+def _cutset_coeffs(params: MaccParams, s: int) -> tuple[int, int, int]:
     require_int("s", s, 1, min(params.K, params.N))
-    return Fraction(s), Fraction(min(s + params.L - 1, params.K), params.N // s)
+    return s * (params.N // s), min(s + params.L - 1, params.K), params.N // s
 
 
-def _lemma3_coeffs(params: MaccParams, s: int) -> tuple[Fraction, Fraction]:
+def _lemma3_coeffs(params: MaccParams, s: int) -> tuple[int, int, int]:
     require_int("s", s, 1, min(params.K, params.N))
-    return Fraction(s), Fraction(s + params.L - 1, params.N // s)
+    return s * (params.N // s), s + params.L - 1, params.N // s
 
 
 def _improved_space(params: MaccParams) -> Iterator[dict]:
@@ -119,13 +116,12 @@ def _improved_space(params: MaccParams) -> Iterator[dict]:
             yield {"s": s, "l": l}
 
 
-def _improved_coeffs(params: MaccParams, s: int, l: int) -> tuple[Fraction, Fraction]:
+def _improved_coeffs(params: MaccParams, s: int, l: int) -> tuple[int, int, int]:
     K, L, N = params.K, params.L, params.N
     require_int("s", s, 1, K)
     require_int("l", l, 1, -(-N // s))
     p = min(s + L - 1, K)
-    intercept = Fraction(K * N - (K - p) * max(0, N - l * s) - K * max(0, N - l * K), K * l)
-    return intercept, Fraction(p, l)
+    return K * N - (K - p) * max(0, N - l * s) - K * max(0, N - l * K), K * p, K * l
 
 
 def _lemma2_space(params: MaccParams, b_cap: int) -> Iterator[dict]:
@@ -147,28 +143,28 @@ def _lemma2_space(params: MaccParams, b_cap: int) -> Iterator[dict]:
                     yield {"s": s, "t": t, "b": b}
 
 
-def _lemma2_coeffs(params: MaccParams, s: int, t: int, b: int) -> tuple[Fraction, Fraction]:
+def _lemma2_coeffs(params: MaccParams, s: int, t: int, b: int) -> tuple[int, int, int]:
     K, L, N = params.K, params.L, params.N
     require_int("s", s, 1)
     require_int("t", t, 1)
     require_int("b", b, 1)
     require_int("s*t", s * t, L, K // 2)
     lam_den = 1 if s * t == L else 2
-    return Fraction(min((s * t - L + 1) * s * b, N), s * b * lam_den), Fraction(t, b)
+    return min((s * t - L + 1) * s * b, N), t * s * lam_den, s * b * lam_den
 
 
 @dataclass(frozen=True)
 class Family:
     """One bound family: the maximum over its witness space of the affine
-    terms intercept - slope * M.  An empty space means inapplicable."""
+    terms (a - b * M) / d.  An empty space means inapplicable."""
 
     id: str
     aliases: tuple[str, ...]
     #: space(params, **caps(params)) yields, in tie-break order, a subset of
     #: the witness space that holds the first maximizer at every M
     space: Callable[..., Iterator[dict]]
-    #: coeffs(params, **witness) -> (intercept, slope)
-    coeffs: Callable[..., tuple[Fraction, Fraction]]
+    #: coeffs(params, **witness) -> the row (a, b, d) of ints, d >= 1
+    coeffs: Callable[..., tuple[int, int, int]]
     #: search caps, passed to space; sweep_curve keeps them as BoundCurve.caps
     caps: Callable[[MaccParams], dict] = lambda params: {}
     #: why the space is empty, for families where it can be
@@ -209,34 +205,32 @@ def _family(bound_id: str) -> Family:
     return FAMILIES[bound_id]
 
 
-def _terms(family: Family, params: MaccParams) -> Iterator[Term]:
-    """The family's terms, lazily, in tie-break order."""
-    for witness in family.space(params, **family.caps(params)):
-        yield (witness, *family.coeffs(params, **witness))
+@lru_cache(maxsize=len(FAMILIES))
+def _rows(params: MaccParams, family: Family) -> list[Row]:
+    """The family's rows in tie-break order.  The cache holds every family of
+    one network and is keyed by the Family object, so a replaced FAMILIES
+    entry is enumerated anew."""
+    return [(w, *family.coeffs(params, **w)) for w in family.space(params, **family.caps(params))]
 
 
 @lru_cache(maxsize=len(FAMILY_IDS))
 def _scaled_terms(
     params: MaccParams, bound_id: str, families: tuple[Family, ...]
 ) -> tuple[list[ScaledTerm], int]:
-    """The id's scaled terms and their D.  best's join its families' cached
-    lists, each scaled up to their lcm, with each witness tagged with its
+    """The id's scaled terms and their D: _join of its families' cached rows.
+    best's list is every family's in turn, each witness tagged with its
     family.  The cache holds every id of one network and is keyed by the
     Family objects, so a replaced FAMILIES entry is read anew."""
+    lists, D = _join([_rows(params, family) for family in families])
     if bound_id != BEST:
-        return _scale(list(_terms(families[0], params)))
-    lists = [(family.id, *_scaled_terms(params, family.id, (family,))) for family in families]
-    D = lcm(*(d for _, _, d in lists))
-    return [
-        ({"family": family_id, **witness}, A * (D // d), B * (D // d))
-        for family_id, terms, d in lists
-        for witness, A, B in terms
-    ], D
+        return lists[0], D
+    tagged = [({"family": f.id, **w}, A, B) for f, terms in zip(families, lists) for w, A, B in terms]
+    return tagged, D
 
 
 def _points(params: MaccParams, bound_id: str, grid: Sequence[Fraction]) -> tuple[BoundPoint, ...]:
     """The bound maximized at each point of a checked grid, () when it is
-    inapplicable; terms are enumerated only by _scaled_terms, once per
+    inapplicable; terms are enumerated only by _rows, once per family and
     network.  best's terms are every family's in registry order, so the
     first strict maximum wins across families as within one; clamped at 0."""
     families = tuple(FAMILIES.values()) if bound_id == BEST else (_family(bound_id),)
@@ -356,12 +350,13 @@ def evaluate_witness(params: MaccParams, bound_id: str, witness: dict, M: Memory
     family = _family(bound_id)
     m = as_memory(M)
     try:
-        intercept, slope = family.coeffs(params, **witness)
+        a, b, d = family.coeffs(params, **witness)
     except InputError:  # a witness value coeffs refused names itself
         raise
     except TypeError as exc:  # a missing, unknown, extra or non-str witness key
         raise InputError(f"witness {witness} does not fit {family.id}: {exc}") from exc
-    return intercept - slope * m
+    p, q = m.numerator, m.denominator
+    return Fraction(a * q - b * p, d * q)
 
 
 # ---------------------------------------------------------------------------
@@ -465,34 +460,27 @@ class DominanceReport:
 def verify_dominance(params: MaccParams, m_grid: Sequence[MemoryLike]) -> DominanceReport:
     """Check the two dominance relations on a strictly increasing grid with
     exact comparison: improved >= cutset (grid points above N/L are skipped
-    for this check) and cutset >= lemma3 (everywhere on [0, N]).  Each
-    family's column of integers (value v at M = p/q, over D*q) is compared
-    in integers; each value and margin becomes one Fraction."""
+    for this check) and cutset >= lemma3 (everywhere on [0, N]).  The three
+    families' rows are joined over one D, so their columns of integers (value
+    v at M = p/q, over D*q) and the margins are compared as integers; each
+    value and margin becomes one Fraction."""
     grid = _grid(params, m_grid)
-    columns = []
-    for name in ("improved_thm2", "cutset_thm1", "hkd2_lemma3"):
-        terms, D = _scaled_terms(params, name, (FAMILIES[name],))
-        columns.append((D, [value for _, value in _column(terms, grid)]))
-    (D_I, col_I), (D_C, col_C), (D_3, col_3) = columns
+    names = ("improved_thm2", "cutset_thm1", "hkd2_lemma3")
+    lists, D = _join([_rows(params, FAMILIES[name]) for name in names])
+    col_I, col_C, col_3 = ([value for _, value in _column(terms, grid)] for terms in lists)
     entries, failed = [], []
     for M, v_I, v_C, v_3 in zip(grid, col_I, col_C, col_3):
         q = M.denominator
-        improved_margin = v_I * D_C - v_C * D_I
-        cutset_margin = v_C * D_3 - v_3 * D_C
         checked = M.numerator * params.L <= params.N * q
+        Dq = D * q
         e = DominanceEntry(
-            M,
-            Fraction(v_I, D_I * q),
-            Fraction(v_C, D_C * q),
-            Fraction(v_3, D_3 * q),
-            checked,
-            Fraction(improved_margin, D_I * D_C * q),
-            Fraction(cutset_margin, D_C * D_3 * q),
+            M, Fraction(v_I, Dq), Fraction(v_C, Dq), Fraction(v_3, Dq), checked,
+            Fraction(v_I - v_C, Dq), Fraction(v_C - v_3, Dq),
         )
         entries.append(e)
-        if checked and improved_margin < 0:
+        if checked and v_I < v_C:
             failed.append(("improved_vs_cutset", M, e.improved, e.cutset))
-        if cutset_margin < 0:
+        if v_C < v_3:
             failed.append(("cutset_vs_lemma3", M, e.cutset, e.lemma3))
     violations = tuple(
         {"check": check, "M": fraction_str(M), "lhs": fraction_str(lhs), "rhs": fraction_str(rhs)}

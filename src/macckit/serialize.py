@@ -112,18 +112,22 @@ def write_json_report(stream: IO[str], payload: dict) -> None:
 
 
 def _write_rows(stream: IO[str], payload: dict, key: str, rows: Iterator[str]) -> None:
-    """payload as write_json_report writes it, with the rows of its non-empty
-    top-level list payload[key] written from their template text instead of
-    json's encoder."""
+    """payload as write_json_report writes it, with the rows of its top-level
+    list payload[key] written from their template text instead of json's
+    encoder."""
+    first = next(rows, None)
+    if first is None:  # an empty list has no row to stand in for
+        write_json_report(stream, payload)
+        return
     text = json.dumps({**payload, key: [_ROWS]}, indent=2, allow_nan=False)
     head, tail = text.split(json.dumps(_ROWS))
-    stream.write(head + next(rows))
+    stream.write(head + first)
     stream.writelines(",\n    " + row for row in rows)
     stream.write(tail + "\n")
 
 
 def write_simulation_report(stream: IO[str], payload: dict) -> None:
-    """A VerificationReport.to_dict() (non-empty per_demand), as write_json_report writes it."""
+    """A VerificationReport.to_dict(), as write_json_report writes it."""
     rows = (
         _ROW % (",\n        ".join(map(str, row["d"])), row["rate"], "true" if row["pass"] else "false")
         for row in payload["per_demand"]
@@ -132,7 +136,7 @@ def write_simulation_report(stream: IO[str], payload: dict) -> None:
 
 
 def write_dominance_report(stream: IO[str], payload: dict) -> None:
-    """A DominanceReport.to_dict() (non-empty points), as write_json_report writes it."""
+    """A DominanceReport.to_dict(), as write_json_report writes it."""
     rows = (
         _POINT % (
             p["M"], p["improved_thm2"], p["cutset_thm1"], p["hkd2_lemma3"],

@@ -56,12 +56,22 @@ MUTANTS: tuple[tuple[str, str, str], ...] = (
     ("bounds.py", "if value > best_value:", "if value >= best_value:"),
     # Thm 2 reads s + L caches instead of s + L - 1
     ("bounds.py", "p = min(s + L - 1, K)", "p = min(s + L, K)"),
-    # the common denominator ignores the slopes' denominators
+    # the common denominator is the largest d, not the lcm of every d
     (
         "bounds.py",
-        "D = lcm(*(f.denominator for _, a, b in terms for f in (a, b)))",
-        "D = lcm(*(a.denominator for _, a, b in terms))",
+        "D = lcm(*(d for rows in lists for *_, d in rows))",
+        "D = max((d for rows in lists for *_, d in rows), default=1)",
     ),
+    # the common denominator is taken from the first row list only
+    ("bounds.py", "lcm(*(d for rows in lists for", "lcm(*(d for rows in lists[:1] for"),
+    # _join leaves each intercept over its own d
+    ("bounds.py", "a * (D // d)", "a"),
+    # _join leaves each slope over its own d
+    ("bounds.py", "b * (D // d)", "b"),
+    # the cut-set intercept is not put over d = floor(N/s), so it reads s/floor(N/s), not s
+    ("bounds.py", "return s * (params.N // s), min(", "return s, min("),
+    # a replayed witness's term has its sign swapped
+    ("bounds.py", "Fraction(a * q - b * p, d * q)", "Fraction(b * p - a * q, d * q)"),
     # a witness that is not a dict is not refused up front
     ("bounds.py", "if not isinstance(witness, dict):", "if False:"),
     # a best witness's clamped flag passes whatever its value
@@ -78,8 +88,13 @@ MUTANTS: tuple[tuple[str, str, str], ...] = (
         "BoundPoint(M, Fraction(value, D * M.denominator), dict(witness))",
         "BoundPoint(M, Fraction(value, D * M.denominator), witness)",
     ),
-    # best joins its families' lists without scaling them to one denominator
-    ("bounds.py", "A * (D // d)", "A"),
+    # the row cache is keyed on (params, family id), so a replaced family goes unseen
+    (
+        "bounds.py",
+        "@lru_cache(maxsize=len(FAMILIES))",
+        "@lambda f: (lambda seen: lambda params, family: "
+        "seen.setdefault((params, family.id), f(params, family)))({})",
+    ),
     # the term cache is keyed on (params, bound_id) alone, so a replaced family goes unseen
     (
         "bounds.py",
@@ -110,7 +125,9 @@ MUTANTS: tuple[tuple[str, str, str], ...] = (
         "checked = M.numerator * params.L < params.N * q",
     ),
     # the improved - cutset margin has its sign swapped
-    ("bounds.py", "improved_margin = v_I * D_C - v_C * D_I", "improved_margin = v_C * D_I - v_I * D_C"),
+    ("bounds.py", "Fraction(v_I - v_C, Dq)", "Fraction(v_C - v_I, Dq)"),
+    # improved equal to cutset counts as a violation
+    ("bounds.py", "if checked and v_I < v_C:", "if checked and v_I <= v_C:"),
     # a dominance payload lists the report's own violation dicts
     ("bounds.py", '"violations": [dict(v) for v in self.violations],', '"violations": list(self.violations),'),
     # a uniform grid starts one step late

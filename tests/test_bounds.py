@@ -3,6 +3,7 @@ oracles (tests/oracles.py), and property tests for the shared structural
 invariants."""
 
 import dataclasses
+import math
 import re
 from fractions import Fraction as F
 from unittest import mock
@@ -345,13 +346,15 @@ class TestSweepCurve:
 
 
 def shifted_family(bound_id, delta):
-    """FAMILIES[bound_id] with every term's intercept raised by delta, so its
-    maximum is raised by delta at every M."""
+    """FAMILIES[bound_id] with every term raised by delta, so its maximum is
+    raised by delta at every M.  A row (a, b, d) becomes (a + delta*d, b, d),
+    written over d times delta's denominator so that it stays in ints."""
     family = FAMILIES[bound_id]
+    n, m = F(delta).numerator, F(delta).denominator
 
     def coeffs(params, **witness):
-        intercept, slope = family.coeffs(params, **witness)
-        return intercept + delta, slope
+        a, b, d = family.coeffs(params, **witness)
+        return a * m + n * d, b * m, d * m
 
     return dataclasses.replace(family, coeffs=coeffs)
 
@@ -388,8 +391,8 @@ class TestVerifyDominance:
             coeffs = bounds.FAMILIES[family].coeffs
 
             def shifted_coeffs(params, **witness):
-                intercept, slope = coeffs(params, **witness)
-                return intercept + delta, slope
+                a, b, d = coeffs(params, **witness)
+                return a + delta * d, b, d
 
             return dataclasses.replace(bounds.FAMILIES[family], coeffs=shifted_coeffs)
 
@@ -450,14 +453,37 @@ class TestTermCache:
         assert before[1].witness["family"] == "improved_thm2"
 
         def raised(params, **witness):
-            intercept, slope = improved.coeffs(params, **witness)
-            return intercept + 1, slope
+            a, b, d = improved.coeffs(params, **witness)
+            return a + d, b, d
 
         monkeypatch.setitem(FAMILIES, "improved_thm2", dataclasses.replace(improved, coeffs=raised))
         assert improved_bound(P323, M).R == before[0].R + 1
         assert best_lower_bound(P323, M) == dataclasses.replace(before[1], R=before[1].R + 1)
         monkeypatch.undo()
         assert (improved_bound(P323, M), best_lower_bound(P323, M)) == before
+
+    def test_each_family_is_enumerated_once_per_network(self, monkeypatch):
+        enumerated = []
+
+        def spied(family):
+            def space(params, **caps):
+                enumerated.append(family.id)
+                return family.space(params, **caps)
+
+            return dataclasses.replace(family, space=space)
+
+        for bound_id, family in list(FAMILIES.items()):
+            monkeypatch.setitem(FAMILIES, bound_id, spied(family))
+        params = MaccParams(7, 2, 8)
+        verify_dominance(params, [F(0), F(1)])
+        assert enumerated == ["improved_thm2", "cutset_thm1", "hkd2_lemma3"]
+        # best reads the rows compare enumerated, and lists only the fourth family
+        enumerated.clear()
+        best_lower_bound(params, F(1, 2))
+        assert enumerated == ["hkd_lemma2"]
+        enumerated.clear()
+        sweep_curve(MaccParams(6, 2, 7), "cutset_thm1", [F(0), F(1)])
+        assert enumerated == ["cutset_thm1"]
 
     def test_the_cache_holds_one_network(self):
         for K in range(1, 7):
@@ -600,6 +626,24 @@ def test_default_grid_spans_full_access_range():
 # ---------------------------------------------------------------------------
 
 
+def test_every_coeffs_row_is_ints_equal_to_the_oracle():
+    # witness by witness over the oracle's whole space, lemma 2's b up to N
+    rows = 0
+    for K in range(1, 8):
+        for L in range(1, K + 1):
+            for N in range(1, 9):
+                params = MaccParams(K, L, N)
+                for bound_id, family in FAMILIES.items():
+                    for witness, intercept, slope in oracles.terms(params, bound_id):
+                        row = family.coeffs(params, **witness)
+                        assert [type(x) for x in row] == [int, int, int], (params, bound_id, witness)
+                        a, b, d = row
+                        assert d >= 1, (params, bound_id, witness)
+                        assert (F(a, d), F(b, d)) == (intercept, slope), (params, bound_id, witness)
+                        rows += 1
+    assert rows > 5000
+
+
 # built from integers: st.fractions draws too slowly for a few hundred lists
 coefficients = st.builds(F, st.integers(-2000, 2000), st.integers(1, 40))
 
@@ -633,8 +677,14 @@ def term_lists_and_memories(draw):
 @given(term_lists_and_memories())
 def test_integer_kernel_matches_fraction_oracle(case):
     terms, grid = case
-    scaled, D = bounds._scale(terms)
-    column = bounds._column(scaled, grid)
+    # each line as an integer row over its own denominator, in two row lists
+    rows = []
+    for witness, a, b in terms:
+        d = math.lcm(a.denominator, b.denominator)
+        rows.append((witness, a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d))
+    half = len(rows) // 2
+    (first, second), D = bounds._join([rows[:half], rows[half:]])
+    column = bounds._column(first + second, grid)
     assert len(column) == len(grid)
     for M, (witness, value) in zip(grid, column):
         assert (F(value, D * M.denominator), witness) == oracles.first_maximum(terms, M)
@@ -648,10 +698,9 @@ def test_sweep_curve_matches_fraction_oracle(data):
     L = data.draw(st.integers(min_value=1, max_value=K))
     N = data.draw(st.integers(min_value=1, max_value=8))
     params = MaccParams(K, L, N)
-    terms = {
-        bound_id: list(bounds._terms(family, params)) for bound_id, family in FAMILIES.items()
-    }
-    terms[BEST] = oracles.best_terms(terms)
+    # the tests' own formulas over each family's whole space (lemma 2's b up
+    # to N), so the formulas, the pruning and the kernel are all checked
+    terms = {bound_id: oracles.terms(params, bound_id, b_cap=N) for bound_id in FAMILY_IDS}
     # memories where two of best's lines cross, so ties at grid points are drawn
     crossings = sorted(
         {

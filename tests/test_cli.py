@@ -159,8 +159,8 @@ class TestCompareCommand:
         improved = bounds.FAMILIES["improved_thm2"]
 
         def lowered(params, **witness):
-            intercept, slope = improved.coeffs(params, **witness)
-            return intercept - 1, slope
+            a, b, d = improved.coeffs(params, **witness)
+            return a - d, b, d
 
         monkeypatch.setitem(
             bounds.FAMILIES, "improved_thm2", dataclasses.replace(improved, coeffs=lowered)

@@ -14,12 +14,17 @@ from macckit.bounds import (
     BEST,
     FAMILIES,
     BoundPoint,
-    _terms,
     evaluate_witness,
     hkd_lemma2_term,
 )
 
 LEMMA2 = FAMILIES["hkd_lemma2"]
+
+
+def searched(params):
+    """The witnesses of lemma 2's pruned space, in search order."""
+    return list(LEMMA2.space(params, **LEMMA2.caps(params)))
+
 
 # every triple with K <= 8, N <= 10 and L <= floor(K/2)
 SMALL_TRIPLES = [
@@ -58,9 +63,9 @@ def test_breakpoints_of_a_known_envelope():
 
 
 def test_searched_space_at_100_10_100():
-    terms = list(_terms(LEMMA2, MaccParams(100, 10, 100)))
-    assert len(terms) == 520
-    for _, block in groupby((w for w, _, _ in terms), key=lambda w: (w["s"], w["t"])):
+    witnesses = searched(MaccParams(100, 10, 100))
+    assert len(witnesses) == 520
+    for _, block in groupby(witnesses, key=lambda w: (w["s"], w["t"])):
         bs = [w["b"] for w in block]
         assert len(bs) <= 4
         assert bs == sorted(set(bs))
@@ -69,8 +74,7 @@ def test_searched_space_at_100_10_100():
 def test_single_term_path_takes_any_b():
     # on (20, 5, 20) at (s, t) = (1, 5) the search visits only b in {1, 20}
     params = MaccParams(20, 5, 20)
-    searched = {w["b"] for w, _, _ in _terms(LEMMA2, params) if (w["s"], w["t"]) == (1, 5)}
-    assert searched == {1, 20}
+    assert {w["b"] for w in searched(params) if (w["s"], w["t"]) == (1, 5)} == {1, 20}
     M = F(1)
     assert hkd_lemma2_term(params, 1, 5, 7, M) == F(2, 7)  # min(7, 20)/7 - (5/7) M
     assert evaluate_witness(params, "hkd_lemma2", {"s": 1, "t": 5, "b": 7}, M) == F(2, 7)

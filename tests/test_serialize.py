@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from macckit import (
     CacheContents,
+    DominanceReport,
     FileLibrary,
     MaccParams,
     scheme_appendix_b,
@@ -18,6 +19,7 @@ from macckit import (
     scheme_zero_memory,
     sweep_curve,
     uniform_grid,
+    VerificationReport,
     verify_dominance,
     verify_scheme,
 )
@@ -150,6 +152,21 @@ def test_streamed_rows_equal_json_dump(monkeypatch, scheme, params, F, corrupt):
     streamed = io.StringIO()
     write_simulation_report(streamed, payload)
     assert streamed.getvalue() == json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize(
+    "write, report",
+    [
+        (write_dominance_report, DominanceReport(P323, (), ())),
+        (write_simulation_report, VerificationReport("zero-memory", P323, 1, None, F(3), (), ())),
+    ],
+    ids=["dominance", "simulation"],
+)
+def test_an_empty_row_list_is_written_as_json_dump(write, report):
+    expected, streamed = io.StringIO(), io.StringIO()
+    write_json_report(expected, report.to_dict())
+    write(streamed, report.to_dict())
+    assert streamed.getvalue() == expected.getvalue()
 
 
 @pytest.mark.parametrize(
