@@ -237,14 +237,11 @@ def _points(params: MaccParams, bound_id: str, grid: Sequence[Fraction]) -> tupl
     terms, D = _scaled_terms(params, bound_id, families)
     if not terms:
         return ()
-    points = tuple(
-        BoundPoint(M, Fraction(value, D * M.denominator), dict(witness))
-        for M, (witness, value) in zip(grid, _column(terms, grid))
-    )
-    if bound_id != BEST:
-        return points
     return tuple(
-        p if p.R >= 0 else BoundPoint(p.M, Fraction(0), {**p.witness, "clamped": True}) for p in points
+        BoundPoint(M, Fraction(0), {**witness, "clamped": True})
+        if bound_id == BEST and value < 0
+        else BoundPoint(M, Fraction(value, D * M.denominator), dict(witness))
+        for M, (witness, value) in zip(grid, _column(terms, grid))
     )
 
 
@@ -467,9 +464,8 @@ def verify_dominance(params: MaccParams, m_grid: Sequence[MemoryLike]) -> Domina
     grid = _grid(params, m_grid)
     names = ("improved_thm2", "cutset_thm1", "hkd2_lemma3")
     lists, D = _join([_rows(params, FAMILIES[name]) for name in names])
-    col_I, col_C, col_3 = ([value for _, value in _column(terms, grid)] for terms in lists)
     entries, failed = [], []
-    for M, v_I, v_C, v_3 in zip(grid, col_I, col_C, col_3):
+    for M, (_, v_I), (_, v_C), (_, v_3) in zip(grid, *(_column(terms, grid) for terms in lists)):
         q = M.denominator
         checked = M.numerator * params.L <= params.N * q
         Dq = D * q

@@ -32,14 +32,10 @@ def lower_convex_envelope(points: Sequence[tuple[MemoryLike, MemoryLike]]) -> li
     """
     if not points:
         raise InputError("empty point set")
-    exact = [(as_memory(m), as_memory(r)) for m, r in points]
-    by_memory: dict[Fraction, Fraction] = {}
-    for m, r in exact:
-        if m not in by_memory or r < by_memory[m]:
-            by_memory[m] = r
-    ordered = sorted(by_memory.items())
     hull: list[Point] = []
-    for p in ordered:
+    for p in sorted((as_memory(m), as_memory(r)) for m, r in points):
+        if hull and p[0] == hull[-1][0]:  # the lowest R of a memory sorts first
+            continue
         while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) <= 0:
             hull.pop()
         hull.append(p)

@@ -130,6 +130,30 @@ MUTANTS: tuple[tuple[str, str, str], ...] = (
     ("bounds.py", "if checked and v_I < v_C:", "if checked and v_I <= v_C:"),
     # a dominance payload lists the report's own violation dicts
     ("bounds.py", '"violations": [dict(v) for v in self.violations],', '"violations": list(self.violations),'),
+    # best clamps a zero maximum too, so its witness gains clamped: True at R = 0
+    ("bounds.py", "if bound_id == BEST and value < 0", "if bound_id == BEST and value <= 0"),
+    # cut-set reads s + L - 2 caches (criterion 10 sees it: raised above achievable points)
+    (
+        "bounds.py",
+        "return s * (params.N // s), min(s + params.L - 1, params.K), params.N // s",
+        "return s * (params.N // s), min(s + params.L - 2, params.K), params.N // s",
+    ),
+    # Thm 2's slope is p/(l+1), its intercept kept (criterion 10 sees it)
+    (
+        "bounds.py",
+        "return K * N - (K - p) * max(0, N - l * s) - K * max(0, N - l * K), K * p, K * l",
+        "return (l + 1) * (K * N - (K - p) * max(0, N - l * s) - K * max(0, N - l * K)), "
+        "K * p * l, K * l * (l + 1)",
+    ),
+    # Thm 2 loses its K * (N - l*K)^+ term (criterion 10 sees it)
+    ("bounds.py", " - K * max(0, N - l * K), K * p, K * l", ", K * p, K * l"),
+    # lemma 3 divides by ceil(N/s) (criterion 10 cannot see it: no bound rises above
+    # an achievable point with K, N <= 12)
+    (
+        "bounds.py",
+        "return s * (params.N // s), s + params.L - 1, params.N // s",
+        "return s * -(-params.N // s), s + params.L - 1, -(-params.N // s)",
+    ),
     # a uniform grid starts one step late
     ("bounds.py", "b * d * n) for i in range(count)]", "b * d * n) for i in range(1, count + 1)]"),
     # serialize: decimals with 11 significant digits instead of 12
@@ -146,6 +170,8 @@ MUTANTS: tuple[tuple[str, str, str], ...] = (
     ("params.py", "if not isinstance(value, int) or isinstance(value, bool):", "if not isinstance(value, int):"),
     # tradeoff: the (3, 2, 3) optimum's middle piece has the wrong slope
     ("tradeoff.py", "return Fraction(7, 3) - 2 * m", "return Fraction(7, 3) - 3 * m"),
+    # tradeoff: a higher rate at the largest memory stays the last hull vertex
+    ("tradeoff.py", "if hull and p[0] == hull[-1][0]:", "if False:"),
     # tradeoff: a collinear middle point stays a hull vertex
     ("tradeoff.py", "_cross(hull[-2], hull[-1], p) <= 0", "_cross(hull[-2], hull[-1], p) < 0"),
     # schemes: appendix B's second cache half XORs the wrong subfiles

@@ -134,3 +134,17 @@ def breakpoints(terms, x, y):
         return search(x, z) + search(z, y)
 
     return search(x, y)
+
+
+def shifted(family, delta):
+    """A copy of a library family with every term raised by delta, so its
+    maximum is raised by delta at every M.  With delta = n/m, each integer
+    row (a, b, d) becomes (a*m + n*d, b*m, d*m), the same line plus n/m.
+    The copy is built from the family's own fields, with no macckit import."""
+    n, m = Fraction(delta).numerator, Fraction(delta).denominator
+
+    def coeffs(params, **witness):
+        a, b, d = family.coeffs(params, **witness)
+        return a * m + n * d, b * m, d * m
+
+    return type(family)(**{**vars(family), "coeffs": coeffs})

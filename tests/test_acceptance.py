@@ -6,9 +6,11 @@ criterion (a failed assertion surfaces as the pytest FAILED line instead).
 
 import time
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
+import oracles
 from macckit import (
     ACHIEVABLE_POINTS_323,
     FileLibrary,
@@ -16,6 +18,7 @@ from macckit import (
     best_lower_bound,
     default_memory_grid,
     improved_bound,
+    lower_convex_envelope,
     memory_share,
     optimal_tradeoff_323,
     run_sliding_window_batch,
@@ -25,7 +28,7 @@ from macckit import (
     uniform_grid,
     verify_scheme,
 )
-from macckit.bounds import improved_term
+from macckit.bounds import FAMILIES, FAMILY_IDS, evaluate_bound, improved_term
 from macckit.serialize import clamp
 
 P323 = MaccParams(3, 2, 3)
@@ -178,3 +181,117 @@ def test_criterion_8_figure_shape_properties():
             a >= b for a, b in zip(emitted["improved_thm2"], emitted["cutset_thm1"])
         ), (K, L, N, "dominance")
     _announce(8, "figure-shape properties for the five plotted settings", started)
+
+
+#: Criterion 9 parameter grid: every (K, L, N) with K <= 10, N <= 12 and
+#: L <= floor(K/2), where hkd_lemma2 applies (300 triples).
+LEMMA2_TRIPLES = [
+    (K, L, N) for K in range(2, 11) for L in range(1, K // 2 + 1) for N in range(1, 13)
+]
+
+
+def improved_vs_lemma2(triples):
+    """(violations, never strict, mismatches) of improved >= hkd_lemma2, both
+    clamped at 0, on the whole of [0, N] for each (K, L, N).
+
+    The checked memories are 0, N and every breakpoint on [0, N] of each
+    family's oracle maximum clamped at 0 (a zero line joins its terms, so
+    the kink where the family reaches 0 is one).  Between two checked
+    memories both clamped families are linear, and so is their difference,
+    so a check at these memories covers the interval.  A violation is a
+    (K, L, N, M) where improved is below; a triple is never strict when
+    improved is nowhere above at a checked M < N; a mismatch is a
+    (K, L, N, M, id) where the library's clamped value is not the oracle's.
+    """
+    ids = ("improved_thm2", "hkd_lemma2")
+    violations, never_strict, mismatches = [], [], []
+    for K, L, N in triples:
+        params = MaccParams(K, L, N)
+        family_terms = {bound_id: oracles.terms(params, bound_id) for bound_id in ids}
+        grid = {F(0), F(N)}
+        for terms in family_terms.values():
+            grid.update(oracles.breakpoints(terms + [({}, F(0), F(0))], F(0), F(N)))
+        grid = sorted(grid)
+        values = [[clamp(p.R) for p in sweep_curve(params, bound_id, grid).points] for bound_id in ids]
+        for bound_id, column in zip(ids, values):
+            for M, R in zip(grid, column):
+                if R != max(F(0), oracles.first_maximum(family_terms[bound_id], M)[0]):
+                    mismatches.append((K, L, N, M, bound_id))
+        strict = False
+        for M, improved, lemma2 in zip(grid, *values):
+            if improved < lemma2:
+                violations.append((K, L, N, M))
+            strict = strict or (improved > lemma2 and M < N)
+        if not strict:
+            never_strict.append((K, L, N))
+    return violations, never_strict, mismatches
+
+
+def test_criterion_9_improved_dominates_lemma2_on_the_whole_interval():
+    started = time.time()
+    violations, never_strict, mismatches = improved_vs_lemma2(LEMMA2_TRIPLES)
+    assert (violations, mismatches) == ([], [])
+    # with one file both families fall from 1 to 0 along the same line
+    assert never_strict == [(K, L, N) for K, L, N in LEMMA2_TRIPLES if N == 1]
+    _announce(9, "improved >= hkd_lemma2 on all of [0, N] for 300 triples, exact breakpoints", started)
+
+
+def test_criterion_9_sees_a_raised_lemma2(monkeypatch):
+    monkeypatch.setitem(FAMILIES, "hkd_lemma2", oracles.shifted(FAMILIES["hkd_lemma2"], F(1, 1000)))
+    # on K = 2 both families start at 1 when N = 1, so a raised lemma2 is above there
+    violations, _, mismatches = improved_vs_lemma2([t for t in LEMMA2_TRIPLES if t[0] == 2])
+    assert (2, 1, 1, 0) in violations and mismatches
+
+
+def achievable_points(K, L, N):
+    """(M, R) points achievable on a (K, L, N) network.  The zero-memory
+    point (0, min(N, K)) is simulated by the package's zero-memory scheme.
+    On L = 1 the points M = tN/K, R = [C(K, t+1) - C(K - min(N, K), t+1)]
+    / C(K, t), t = 0..K, are cited from Maddah-Ali--Niesen 2014 and
+    Yu--Maddah-Ali--Avestimehr 2018: formulas, not simulated here."""
+    points = [(F(0), F(min(N, K)))]
+    if L == 1:
+        points += [
+            (F(t * N, K), F(comb(K, t + 1) - comb(K - min(N, K), t + 1), comb(K, t)))
+            for t in range(K + 1)
+        ]
+    return points
+
+
+def bounds_above_achievable(networks):
+    """Every (K, L, N, id, M) where a bound, a family's or best's, is above
+    the memory share of achievable_points at a vertex of their lower convex
+    envelope.  Each bound is a maximum of lines, so convex, and the share is
+    linear between vertices, so no violation at a vertex means none on the
+    envelope's whole span.  It
+    reads neither tests/oracles.py nor any digest, so it also sees a slip
+    that the oracle shares."""
+    violations = []
+    for K, L, N in networks:
+        params = MaccParams(K, L, N)
+        for M, R in lower_convex_envelope(achievable_points(K, L, N)):
+            for bound_id in FAMILY_IDS:
+                point = evaluate_bound(params, bound_id, M)
+                if point is not None and point.R > R:
+                    violations.append((K, L, N, bound_id, M))
+    return violations
+
+
+#: Criterion 10 networks: every (K, L, N) with K <= 12, N <= 12 and
+#: 1 <= L <= K (936 networks).
+ACHIEVABILITY_NETWORKS = [
+    (K, L, N) for K in range(1, 13) for L in range(1, K + 1) for N in range(1, 13)
+]
+
+
+def test_criterion_10_no_bound_above_an_achievable_point():
+    started = time.time()
+    assert bounds_above_achievable(ACHIEVABILITY_NETWORKS) == []
+    _announce(10, "no bound above the zero-memory or (L = 1) cited points, 936 networks", started)
+
+
+def test_criterion_10_sees_a_raised_cutset(monkeypatch):
+    # cut-set is min(N, K) at M = 0, the zero-memory point of every network
+    monkeypatch.setitem(FAMILIES, "cutset_thm1", oracles.shifted(FAMILIES["cutset_thm1"], F(1, 1000)))
+    violations = bounds_above_achievable(ACHIEVABILITY_NETWORKS)
+    assert {(K, L, N) for K, L, N, *_ in violations} == set(ACHIEVABILITY_NETWORKS)

@@ -345,20 +345,6 @@ class TestSweepCurve:
                 uniform_grid(0, 1, count)
 
 
-def shifted_family(bound_id, delta):
-    """FAMILIES[bound_id] with every term raised by delta, so its maximum is
-    raised by delta at every M.  A row (a, b, d) becomes (a + delta*d, b, d),
-    written over d times delta's denominator so that it stays in ints."""
-    family = FAMILIES[bound_id]
-    n, m = F(delta).numerator, F(delta).denominator
-
-    def coeffs(params, **witness):
-        a, b, d = family.coeffs(params, **witness)
-        return a * m + n * d, b * m, d * m
-
-    return dataclasses.replace(family, coeffs=coeffs)
-
-
 class TestVerifyDominance:
     def test_323_dense_grid(self):
         report = verify_dominance(P323, uniform_grid(0, F(3, 2), 100))
@@ -387,17 +373,8 @@ class TestVerifyDominance:
 
     def test_violations_are_reported_per_point_in_check_order(self, monkeypatch):
         # improved lowered by 1 and lemma3 raised by 1 break both relations
-        def shifted(family, delta):
-            coeffs = bounds.FAMILIES[family].coeffs
-
-            def shifted_coeffs(params, **witness):
-                a, b, d = coeffs(params, **witness)
-                return a + delta * d, b, d
-
-            return dataclasses.replace(bounds.FAMILIES[family], coeffs=shifted_coeffs)
-
-        monkeypatch.setitem(bounds.FAMILIES, "improved_thm2", shifted("improved_thm2", -1))
-        monkeypatch.setitem(bounds.FAMILIES, "hkd2_lemma3", shifted("hkd2_lemma3", 1))
+        for bound_id, delta in (("improved_thm2", -1), ("hkd2_lemma3", 1)):
+            monkeypatch.setitem(FAMILIES, bound_id, oracles.shifted(FAMILIES[bound_id], delta))
         # N/L = 3/2, so M = 2 is outside the improved >= cutset claim
         report = verify_dominance(P323, [F(0), F(1), F(2)])
         assert not report.ok
@@ -412,7 +389,7 @@ class TestVerifyDominance:
 
     def test_editing_the_payload_leaves_the_report_alone(self, monkeypatch):
         # cutset raised by 1 breaks improved >= cutset at M = 0
-        monkeypatch.setitem(FAMILIES, "cutset_thm1", shifted_family("cutset_thm1", 1))
+        monkeypatch.setitem(FAMILIES, "cutset_thm1", oracles.shifted(FAMILIES["cutset_thm1"], 1))
         report = verify_dominance(P323, [F(0), F(1)])
         payload = report.to_dict()
         payload["violations"][0]["M"] = "tampered"
@@ -451,12 +428,7 @@ class TestTermCache:
         improved = FAMILIES["improved_thm2"]
         before = improved_bound(P323, M), best_lower_bound(P323, M)
         assert before[1].witness["family"] == "improved_thm2"
-
-        def raised(params, **witness):
-            a, b, d = improved.coeffs(params, **witness)
-            return a + d, b, d
-
-        monkeypatch.setitem(FAMILIES, "improved_thm2", dataclasses.replace(improved, coeffs=raised))
+        monkeypatch.setitem(FAMILIES, "improved_thm2", oracles.shifted(improved, 1))
         assert improved_bound(P323, M).R == before[0].R + 1
         assert best_lower_bound(P323, M) == dataclasses.replace(before[1], R=before[1].R + 1)
         monkeypatch.undo()
@@ -770,7 +742,7 @@ def dominance_grids(draw):
 )
 def test_verify_dominance_matches_fraction_oracle(case, shifted, delta):
     params, grid = case
-    patch = {shifted: shifted_family(shifted, delta)} if shifted else {}
+    patch = {shifted: oracles.shifted(FAMILIES[shifted], delta)} if shifted else {}
     with mock.patch.dict(FAMILIES, patch):
         report = verify_dominance(params, grid)
         evaluated = [[evaluate_bound(params, bound_id, M).R for bound_id in DOMINANCE_IDS] for M in grid]

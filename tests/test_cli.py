@@ -152,19 +152,12 @@ class TestCompareCommand:
         assert capsys.readouterr().err.startswith(f"error: cannot write {missing}: ")
 
     def test_violation_exit_1(self, tmp_path, monkeypatch):
-        import dataclasses
+        import oracles
 
         import macckit.bounds as bounds
 
-        improved = bounds.FAMILIES["improved_thm2"]
-
-        def lowered(params, **witness):
-            a, b, d = improved.coeffs(params, **witness)
-            return a - d, b, d
-
-        monkeypatch.setitem(
-            bounds.FAMILIES, "improved_thm2", dataclasses.replace(improved, coeffs=lowered)
-        )
+        lowered = oracles.shifted(bounds.FAMILIES["improved_thm2"], -1)
+        monkeypatch.setitem(bounds.FAMILIES, "improved_thm2", lowered)
         out = tmp_path / "report.json"
         assert run_cli("compare", "--K", "3", "--L", "2", "--N", "3",
                        "--grid", "0:3:7", "--out", str(out)) == EXIT_CHECK_FAILED

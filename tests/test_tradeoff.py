@@ -39,6 +39,8 @@ class TestMemoryShare:
     def test_dominated_duplicate_memory_keeps_lower_rate(self):
         padded = VERTICES + [(F(2, 3), F(2))]
         assert memory_share(padded, F(2, 3)) == 1
+        # at the largest memory no later point pops the higher rate
+        assert lower_convex_envelope(VERTICES + [(F(3, 2), F(1))]) == VERTICES
 
     def test_single_point(self):
         assert memory_share([(F(1), F(2))], 1) == 2
