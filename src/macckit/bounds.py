@@ -56,23 +56,15 @@ class BoundCurve:
     caps: dict
 
 
-Row = tuple[dict, int, int, int]  # (witness, a, b, d): the term is (a - b * M) / d
-ScaledTerm = tuple[dict, int, int]  # (witness, A, B): the term is (A - B * M) / D
+Term = tuple[dict, int, int]  # (witness, A, B): the term is (A - B * M) / D
 
 
-def _join(lists: Sequence[Sequence[Row]]) -> tuple[list[list[ScaledTerm]], int]:
-    """Every row list over one D, the lcm of every row's d, as scaled term
-    lists in the same order, with D."""
-    D = lcm(*(d for rows in lists for *_, d in rows))
-    return [[(w, a * (D // d), b * (D // d)) for w, a, b, d in rows] for rows in lists], D
-
-
-def _column(terms: Sequence[ScaledTerm], grid: Sequence[Fraction]) -> list[tuple[dict, int]]:
-    """(first maximizer, A*q - B*p) at each M = p/q of a grid, over a non-empty
-    scaled term list: the maximum of (A - B * M) / D is that integer over D*q.
-    The terms are compared as integers, and the first maximizer in list order
-    wins, which realizes the smallest-parameter tie-breaking rule.  The
-    witnesses are the list's own dicts."""
+def _column(terms: Sequence[Term], grid: Sequence[Fraction], k: int) -> list[tuple[dict, int]]:
+    """(first maximizer, k * (A*q - B*p)) at each M = p/q of a grid, over a
+    non-empty term list over D: the maximum of (A - B * M) / D is that integer
+    over k*D*q.  The terms are compared as integers, and the first maximizer
+    in list order wins, which realizes the smallest-parameter tie-breaking
+    rule.  The witnesses are the list's own dicts."""
     first, A0, B0 = terms[0]
     rest = terms[1:]
     column = []
@@ -83,7 +75,7 @@ def _column(terms: Sequence[ScaledTerm], grid: Sequence[Fraction]) -> list[tuple
             value = A * q - B * p
             if value > best_value:
                 best, best_value = witness, value
-        column.append((best, best_value))
+        column.append((best, k * best_value))
     return column
 
 
@@ -171,8 +163,8 @@ class Family:
     empty_note: Callable[[MaccParams], str] | None = None
 
 
-#: Registry order is the order of the families' terms in best (first strict
-#: maximum wins ties).
+#: Registry order is best's order across families (the first family with
+#: the largest value wins ties).
 FAMILIES = {
     family.id: family
     for family in (
@@ -206,43 +198,46 @@ def _family(bound_id: str) -> Family:
 
 
 @lru_cache(maxsize=len(FAMILIES))
-def _rows(params: MaccParams, family: Family) -> list[Row]:
-    """The family's rows in tie-break order.  The cache holds every family of
-    one network and is keyed by the Family object, so a replaced FAMILIES
-    entry is enumerated anew."""
-    return [(w, *family.coeffs(params, **w)) for w in family.space(params, **family.caps(params))]
+def _terms(params: MaccParams, family: Family) -> tuple[list[Term], int]:
+    """The family's terms in tie-break order over D_f, the lcm of its rows' d,
+    with D_f.  The cache holds every family of one network and is keyed by the
+    Family object, so a replaced FAMILIES entry is enumerated anew."""
+    rows = [(w, *family.coeffs(params, **w)) for w in family.space(params, **family.caps(params))]
+    D = lcm(*(d for *_, d in rows))
+    return [(w, a * (D // d), b * (D // d)) for w, a, b, d in rows], D
 
 
-@lru_cache(maxsize=len(FAMILY_IDS))
-def _scaled_terms(
-    params: MaccParams, bound_id: str, families: tuple[Family, ...]
-) -> tuple[list[ScaledTerm], int]:
-    """The id's scaled terms and their D: _join of its families' cached rows.
-    best's list is every family's in turn, each witness tagged with its
-    family.  The cache holds every id of one network and is keyed by the
-    Family objects, so a replaced FAMILIES entry is read anew."""
-    lists, D = _join([_rows(params, family) for family in families])
-    if bound_id != BEST:
-        return lists[0], D
-    tagged = [({"family": f.id, **w}, A, B) for f, terms in zip(families, lists) for w, A, B in terms]
-    return tagged, D
+def _columns(
+    params: MaccParams, families: Sequence[Family], grid: Sequence[Fraction]
+) -> tuple[list[list[tuple[dict, int]]], int]:
+    """Each family's column on a checked grid over one D, the lcm of the
+    families' D_f, with D; [] for an inapplicable family."""
+    cached = [_terms(params, family) for family in families]
+    D = lcm(*(D_f for _, D_f in cached))
+    return [_column(terms, grid, D // D_f) if terms else [] for terms, D_f in cached], D
 
 
 def _points(params: MaccParams, bound_id: str, grid: Sequence[Fraction]) -> tuple[BoundPoint, ...]:
     """The bound maximized at each point of a checked grid, () when it is
-    inapplicable; terms are enumerated only by _rows, once per family and
-    network.  best's terms are every family's in registry order, so the
-    first strict maximum wins across families as within one; clamped at 0."""
-    families = tuple(FAMILIES.values()) if bound_id == BEST else (_family(bound_id),)
-    terms, D = _scaled_terms(params, bound_id, families)
-    if not terms:
-        return ()
-    return tuple(
-        BoundPoint(M, Fraction(0), {**witness, "clamped": True})
-        if bound_id == BEST and value < 0
-        else BoundPoint(M, Fraction(value, D * M.denominator), dict(witness))
-        for M, (witness, value) in zip(grid, _column(terms, grid))
-    )
+    inapplicable.  best takes at each point the first family, in registry
+    order, with the largest value, so the first strict maximum wins across
+    families as within one; its witness names that family, and it is clamped
+    at 0."""
+    if bound_id != BEST:
+        (column,), D = _columns(params, (_family(bound_id),), grid)
+        return tuple(BoundPoint(M, Fraction(v, D * M.denominator), dict(w)) for M, (w, v) in zip(grid, column))
+    columns, D = _columns(params, tuple(FAMILIES.values()), grid)
+    live = [(family, column) for family, column in zip(FAMILIES, columns) if column]
+    points = []
+    for i, M in enumerate(grid):
+        row = [(family, column[i]) for family, column in live]
+        family, (w, v) = max(row, key=lambda entry: entry[1][1])
+        points.append(
+            BoundPoint(M, Fraction(0), {"family": family, **w, "clamped": True})
+            if v < 0
+            else BoundPoint(M, Fraction(v, D * M.denominator), {"family": family, **w})
+        )
+    return tuple(points)
 
 
 # ---------------------------------------------------------------------------
@@ -458,14 +453,14 @@ def verify_dominance(params: MaccParams, m_grid: Sequence[MemoryLike]) -> Domina
     """Check the two dominance relations on a strictly increasing grid with
     exact comparison: improved >= cutset (grid points above N/L are skipped
     for this check) and cutset >= lemma3 (everywhere on [0, N]).  The three
-    families' rows are joined over one D, so their columns of integers (value
+    families' columns come over one D from _columns, so their integers (value
     v at M = p/q, over D*q) and the margins are compared as integers; each
     value and margin becomes one Fraction."""
     grid = _grid(params, m_grid)
     names = ("improved_thm2", "cutset_thm1", "hkd2_lemma3")
-    lists, D = _join([_rows(params, FAMILIES[name]) for name in names])
+    columns, D = _columns(params, [FAMILIES[name] for name in names], grid)
     entries, failed = [], []
-    for M, (_, v_I), (_, v_C), (_, v_3) in zip(grid, *(_column(terms, grid) for terms in lists)):
+    for M, (_, v_I), (_, v_C), (_, v_3) in zip(grid, *columns):
         q = M.denominator
         checked = M.numerator * params.L <= params.N * q
         Dq = D * q

@@ -56,18 +56,20 @@ MUTANTS: tuple[tuple[str, str, str], ...] = (
     ("bounds.py", "if value > best_value:", "if value >= best_value:"),
     # Thm 2 reads s + L caches instead of s + L - 1
     ("bounds.py", "p = min(s + L - 1, K)", "p = min(s + L, K)"),
-    # the common denominator is the largest d, not the lcm of every d
-    (
-        "bounds.py",
-        "D = lcm(*(d for rows in lists for *_, d in rows))",
-        "D = max((d for rows in lists for *_, d in rows), default=1)",
-    ),
-    # the common denominator is taken from the first row list only
-    ("bounds.py", "lcm(*(d for rows in lists for", "lcm(*(d for rows in lists[:1] for"),
-    # _join leaves each intercept over its own d
+    # a family's denominator is its largest d, not the lcm of every d
+    ("bounds.py", "D = lcm(*(d for *_, d in rows))", "D = max((d for *_, d in rows), default=1)"),
+    # a family's denominator is taken from its first row only
+    ("bounds.py", "lcm(*(d for *_, d in rows))", "lcm(*(d for *_, d in rows[:1]))"),
+    # _terms leaves each intercept over its own d
     ("bounds.py", "a * (D // d)", "a"),
-    # _join leaves each slope over its own d
+    # _terms leaves each slope over its own d
     ("bounds.py", "b * (D // d)", "b"),
+    # the columns' common denominator is taken from the first family only
+    ("bounds.py", "lcm(*(D_f for _, D_f in cached))", "lcm(*(D_f for _, D_f in cached[:1]))"),
+    # a column is left over its family's own D_f, not rescaled to the common D
+    ("bounds.py", "_column(terms, grid, D // D_f)", "_column(terms, grid, 1)"),
+    # best takes the last family with the largest value, not the first
+    ("bounds.py", "max(row, key=", "max(row[::-1], key="),
     # the cut-set intercept is not put over d = floor(N/s), so it reads s/floor(N/s), not s
     ("bounds.py", "return s * (params.N // s), min(", "return s, min("),
     # a replayed witness's term has its sign swapped
@@ -85,25 +87,18 @@ MUTANTS: tuple[tuple[str, str, str], ...] = (
     # a returned witness is the cached dict itself, so a caller can change the next query's
     (
         "bounds.py",
-        "BoundPoint(M, Fraction(value, D * M.denominator), dict(witness))",
-        "BoundPoint(M, Fraction(value, D * M.denominator), witness)",
+        "BoundPoint(M, Fraction(v, D * M.denominator), dict(w))",
+        "BoundPoint(M, Fraction(v, D * M.denominator), w)",
     ),
-    # the row cache is keyed on (params, family id), so a replaced family goes unseen
+    # the term cache is keyed on (params, family id), so a replaced family goes unseen
     (
         "bounds.py",
         "@lru_cache(maxsize=len(FAMILIES))",
         "@lambda f: (lambda seen: lambda params, family: "
         "seen.setdefault((params, family.id), f(params, family)))({})",
     ),
-    # the term cache is keyed on (params, bound_id) alone, so a replaced family goes unseen
-    (
-        "bounds.py",
-        "@lru_cache(maxsize=len(FAMILY_IDS))",
-        "@lambda f: (lambda seen: lambda params, bound_id, families: "
-        "seen.setdefault((params, bound_id), f(params, bound_id, families)))({})",
-    ),
     # the term cache keeps every network it has seen
-    ("bounds.py", "@lru_cache(maxsize=len(FAMILY_IDS))", "@lru_cache(maxsize=None)"),
+    ("bounds.py", "@lru_cache(maxsize=len(FAMILIES))", "@lru_cache(maxsize=None)"),
     # a bound id that is not a str is not refused up front
     ("bounds.py", "if not isinstance(bound_id, str):", "if False:"),
     # lemma 2's lambda is 1/2 exactly where it should be 1
@@ -131,7 +126,7 @@ MUTANTS: tuple[tuple[str, str, str], ...] = (
     # a dominance payload lists the report's own violation dicts
     ("bounds.py", '"violations": [dict(v) for v in self.violations],', '"violations": list(self.violations),'),
     # best clamps a zero maximum too, so its witness gains clamped: True at R = 0
-    ("bounds.py", "if bound_id == BEST and value < 0", "if bound_id == BEST and value <= 0"),
+    ("bounds.py", "if v < 0", "if v <= 0"),
     # cut-set reads s + L - 2 caches (criterion 10 sees it: raised above achievable points)
     (
         "bounds.py",

@@ -194,6 +194,15 @@ class TestHkdLemma2Bound:
             assert capped is not None and wide is not None
             assert wide[0] == capped.R  # larger b never helps on this instance
 
+    def test_a_negative_maximum_depends_on_the_cap(self):
+        # the docstring's example: a larger b_cap moves a negative maximum toward zero
+        params = MaccParams(20, 5, 20)
+        point = hkd_lemma2_bound(params, 10)
+        assert point is not None
+        assert (point.R, point.witness) == (F(-3, 10), {"s": 5, "t": 1, "b": 20})
+        assert (point.R, point.witness) == oracles.bound(params, "hkd_lemma2", 10)
+        assert oracles.bound(params, "hkd_lemma2", 10, b_cap=200) == (F(-3, 100), {"s": 5, "t": 1, "b": 200})
+
     def test_term_outside_set_rejected(self):
         with pytest.raises(ValueError):
             hkd_lemma2_term(MaccParams(10, 3, 10), 1, 6, 1, 0)  # st = 6 > floor(K/2)
@@ -462,7 +471,7 @@ class TestTermCache:
             for N in range(1, 7):
                 for bound_id in FAMILY_IDS:
                     evaluate_bound(MaccParams(K, 1, N), bound_id, 0)
-        assert 0 < bounds._scaled_terms.cache_info().currsize <= len(FAMILY_IDS)
+        assert 0 < bounds._terms.cache_info().currsize <= len(FAMILIES)
 
 
 def test_single_point_evaluation_matches_sweep():
@@ -646,20 +655,16 @@ def term_lists_and_memories(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(term_lists_and_memories())
-def test_integer_kernel_matches_fraction_oracle(case):
+@given(term_lists_and_memories(), st.integers(1, 10**6))
+def test_integer_kernel_matches_fraction_oracle(case, k):
     terms, grid = case
-    # each line as an integer row over its own denominator, in two row lists
-    rows = []
-    for witness, a, b in terms:
-        d = math.lcm(a.denominator, b.denominator)
-        rows.append((witness, a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), d))
-    half = len(rows) // 2
-    (first, second), D = bounds._join([rows[:half], rows[half:]])
-    column = bounds._column(first + second, grid)
+    # every line as an integer term over one D, the lcm of every denominator
+    D = math.lcm(*(x.denominator for _, a, b in terms for x in (a, b)))
+    scaled = [(witness, int(a * D), int(b * D)) for witness, a, b in terms]
+    column = bounds._column(scaled, grid, k)
     assert len(column) == len(grid)
     for M, (witness, value) in zip(grid, column):
-        assert (F(value, D * M.denominator), witness) == oracles.first_maximum(terms, M)
+        assert (F(value, k * D * M.denominator), witness) == oracles.first_maximum(terms, M)
         assert type(value) is int
 
 

@@ -366,3 +366,99 @@ class TestLinearity:
             seed = rng.getrandbits(32)
             library = FileLibrary.random(P323, 12, seed=seed)
             assert verify_scheme(scheme_appendix_b(), library).passed, seed
+
+
+# ---------------------------------------------------------------------------
+# GF(2) rank oracle: decodability read from place/deliver alone
+# ---------------------------------------------------------------------------
+
+
+def _unit_libraries(params, F_bits):
+    """The N*F libraries with exactly one 1, the j-th holding library bit j
+    (bit f of file n is library bit (n-1)*F + f)."""
+    size = params.N * F_bits
+    for j in range(size):
+        bits = bytes(int(i == j) for i in range(size))
+        yield FileLibrary(params, F_bits, tuple(bits[n * F_bits:(n + 1) * F_bits] for n in range(params.N)))
+
+
+def _masks(payloads):
+    """One Python-int mask per payload bit from one payload per unit library:
+    bit j of a mask is that payload bit on unit library j."""
+    return [sum(bit << j for j, bit in enumerate(column)) for column in zip(*payloads)]
+
+
+def _spans(rows, targets):
+    """Whether every target mask lies in the GF(2) row space of rows, by elimination."""
+    basis = {}  # leading bit -> the one basis row with that leading bit
+
+    def reduce(row):
+        while row and row.bit_length() in basis:
+            row ^= basis[row.bit_length()]
+        return row
+
+    for row in rows:
+        row = reduce(row)
+        if row:
+            basis[row.bit_length()] = row
+    return not any(reduce(target) for target in targets)
+
+
+def _cache_rows(scheme, params):
+    """Each cache's bits as masks over the library bits, at F = subpacketization."""
+    libraries = list(_unit_libraries(params, scheme.subpacketization))
+    placed = [scheme.place(library) for library in libraries]
+    return [_masks([caches.cache(i) for caches in placed]) for i in range(1, params.K + 1)]
+
+
+def _rank_failures(scheme, params, cache_rows):
+    """The (demand, user) pairs whose demanded file's F unit rows are not in
+    the span of the user's window of cache_rows plus the transmission's rows."""
+    F_bits = scheme.subpacketization
+    libraries = list(_unit_libraries(params, F_bits))
+    failures = []
+    for demand in all_demand_vectors(params):
+        sent = _masks([scheme.deliver(library, demand).payload for library in libraries])
+        for k in range(1, params.K + 1):
+            rows = [row for i in access_window(k, params) for row in cache_rows[i - 1]] + sent
+            wanted = [1 << ((demand[k - 1] - 1) * F_bits + f) for f in range(F_bits)]
+            if not _spans(rows, wanted):
+                failures.append((demand, k))
+    return failures
+
+
+class TestRankOracle:
+    """Every (demand, user) pair is decodable for every library at every F
+    that is a multiple of the subpacketization: the schemes are GF(2)-linear,
+    so each cache and transmitted bit is a mask over the library bits, read
+    off the unit libraries, and the demanded file's rows must lie in the span
+    of what the user sees.  Independent of the schemes' decoders."""
+
+    CASES = [
+        (scheme_appendix_b, P323),
+        (scheme_full_access_corner_323, P323),
+        (scheme_zero_memory, P323),
+        (scheme_zero_memory, MaccParams(4, 2, 4)),
+    ]
+    IDS = ["appendix-b-323", "corner-323", "zero-memory-323", "zero-memory-424"]
+
+    @pytest.mark.parametrize("factory,params", CASES, ids=IDS)
+    def test_zero_library_gives_zero_payloads(self, factory, params):
+        # linear, not only affine: so the unit libraries' masks describe every library
+        scheme = factory()
+        F_bits = scheme.subpacketization
+        library = FileLibrary(params, F_bits, (bytes(F_bits),) * params.N)
+        assert not any(any(cache) for cache in scheme.place(library).caches)
+        for demand in all_demand_vectors(params):
+            assert not any(scheme.deliver(library, demand).payload)
+
+    @pytest.mark.parametrize("factory,params", CASES, ids=IDS)
+    def test_every_pair_is_rank_decodable(self, factory, params):
+        scheme = factory()
+        assert _rank_failures(scheme, params, _cache_rows(scheme, params)) == []
+
+    def test_a_dropped_cache_row_is_seen(self):
+        scheme = scheme_appendix_b()
+        caches = _cache_rows(scheme, P323)
+        caches[0] = caches[0][:1] + caches[0][2:]  # cache 1 loses its second row
+        assert len(_rank_failures(scheme, P323, caches)) == 24
