@@ -126,7 +126,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             lambda stream: serialize.write_simulation_report(stream, report.to_dict()),
         )
     if args.points_out is not None:
-        point = (scheme.memory, report.worst_case_rate, scheme.id)
+        point = (scheme.shape(params)[0], report.worst_case_rate, scheme.id)
         _write_text(
             Path(args.points_out),
             lambda stream: serialize.write_achievable_points_csv(stream, [point]),

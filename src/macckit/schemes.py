@@ -9,6 +9,7 @@ compared bit-for-bit against the demanded file.
 from __future__ import annotations
 
 import abc
+import functools
 import itertools
 import random
 from dataclasses import asdict, dataclass
@@ -131,14 +132,15 @@ class CacheContents:
 
 @dataclass(frozen=True)
 class Transmission:
-    """One broadcast payload; rate is payload length in file units."""
+    """One broadcast payload for a library of F-bit files."""
 
     payload: bytes
-    rate: Fraction
+    F: int
 
-    @classmethod
-    def of(cls, payload: bytes, F: int) -> "Transmission":
-        return cls(payload=payload, rate=Fraction(len(payload), F))
+    @property
+    def rate(self) -> Fraction:
+        """The payload length in file units."""
+        return Fraction(len(self.payload), self.F)
 
 
 def all_demand_vectors(params: MaccParams):
@@ -152,7 +154,7 @@ def all_demand_vectors(params: MaccParams):
 
 
 class Scheme(abc.ABC):
-    """A placement/delivery/decoding triple for fixed memory M.
+    """A placement/delivery/decoding triple at the memory M shape() gives.
 
     decode() receives only the transmission and the caches in the user's
     cyclic access window, never the library.  Every place() and deliver()
@@ -160,27 +162,30 @@ class Scheme(abc.ABC):
     """
 
     id: str
-    memory: Fraction
-    subpacketization: int
-    #: the one network the scheme is defined for; None means every network
-    network: MaccParams | None = None
 
-    def check_library(self, library: FileLibrary, demand: Demand | None = None) -> None:
-        """Refuse a library of another network or with F not divisible by the
-        subpacketization, then a given demand without K entries in [1, N]."""
+    @abc.abstractmethod
+    def shape(self, params: MaccParams) -> tuple[Fraction, int] | None:
+        """(M, subpacketization) on the network params, or None off the scheme's domain."""
+
+    def check_library(self, library: FileLibrary, demand: Demand | None = None) -> Fraction:
+        """The memory M on the library's network.  Refuse a network the scheme
+        is not defined for or F not divisible by the subpacketization, then a
+        given demand without K entries in [1, N]."""
         params = library.params
-        if self.network not in (None, params):
+        shape = self.shape(params)
+        if shape is None:
             raise InputError(f"scheme {self.id!r} is not defined for {params}")
-        if library.F % self.subpacketization != 0:
+        M, subpacketization = shape
+        if library.F % subpacketization != 0:
             raise SubpacketizationError(
-                f"scheme {self.id!r} needs F divisible by {self.subpacketization}, got F={library.F}"
+                f"scheme {self.id!r} needs F divisible by {subpacketization}, got F={library.F}"
             )
-        if demand is None:
-            return
-        if len(demand) != params.K:
-            raise InputError(f"demand vector has {len(demand)} entries, expected K={params.K}")
-        for n in demand:
-            require_int("demand entry", n, 1, params.N)
+        if demand is not None:
+            if len(demand) != params.K:
+                raise InputError(f"demand vector has {len(demand)} entries, expected K={params.K}")
+            for n in demand:
+                require_int("demand entry", n, 1, params.N)
+        return M
 
     @abc.abstractmethod
     def place(self, library: FileLibrary) -> CacheContents:
@@ -211,23 +216,21 @@ class CodedPlacementScheme323(Scheme):
     """
 
     id = "appendix-b"
-    memory = Fraction(2, 3)
-    subpacketization = 3
-    network = MaccParams(K=3, L=2, N=3)
+
+    def shape(self, params: MaccParams) -> tuple[Fraction, int] | None:
+        return (Fraction(2, 3), 3) if (params.K, params.L, params.N) == (3, 2, 3) else None
 
     @staticmethod
     def _subfile(library: FileLibrary, n: int, i: int) -> bytes:
         return split_bits(library.file(n), 3)[i - 1]
 
     def place(self, library: FileLibrary) -> CacheContents:
-        self.check_library(library)
+        M = self.check_library(library)
         caches = []
         for i in range(1, 4):
             sub = [self._subfile(library, n, i) for n in (1, 2, 3)]
             caches.append(xor_bits(sub[0], sub[1]) + xor_bits(sub[1], sub[2]))
-        return CacheContents(
-            params=library.params, M=self.memory, F=library.F, caches=tuple(caches)
-        )
+        return CacheContents(params=library.params, M=M, F=library.F, caches=tuple(caches))
 
     @staticmethod
     def _transmit_index(j: int) -> int:
@@ -240,7 +243,7 @@ class CodedPlacementScheme323(Scheme):
             self._subfile(library, demand[j - 1], self._transmit_index(j))
             for j in (1, 2, 3)
         )
-        return Transmission.of(payload, library.F)
+        return Transmission(payload, library.F)
 
     @staticmethod
     def _unlock(cache: bytes, known_file: int, known_subfile: bytes, want_file: int) -> bytes:
@@ -275,81 +278,76 @@ class ZeroMemoryScheme(Scheme):
     """
 
     id = "zero-memory"
-    memory = Fraction(0)
-    subpacketization = 1
+
+    def shape(self, params: MaccParams) -> tuple[Fraction, int]:
+        return Fraction(0), 1
 
     def place(self, library: FileLibrary) -> CacheContents:
-        self.check_library(library)
-        return CacheContents(
-            params=library.params, M=self.memory, F=library.F, caches=(b"",) * library.params.K
-        )
+        M = self.check_library(library)
+        return CacheContents(params=library.params, M=M, F=library.F, caches=(b"",) * library.params.K)
 
     def deliver(self, library: FileLibrary, demand: Demand) -> Transmission:
         self.check_library(library, demand)
         # check_library checked every n, so index the files directly
         payload = b"".join(library.files[n - 1] for n in sorted(set(demand)))
-        return Transmission.of(payload, library.F)
+        return Transmission(payload, library.F)
 
     def decode(
         self, k: int, transmission: Transmission, window: dict[int, bytes], demand: Demand
     ) -> bytes:
-        wanted = sorted(set(demand))
-        chunk = wanted.index(demand[k - 1])
-        F = len(transmission.payload) // len(wanted)
+        chunk, F = sorted(set(demand)).index(demand[k - 1]), transmission.F
         return transmission.payload[chunk * F : (chunk + 1) * F]
 
 
-class FullAccessCornerScheme323(Scheme):
-    """(3, 2, 3) scheme at M = 3/2 with an empty delivery.
+class ParityScheme(Scheme):
+    """(K, K - 1, N) scheme at M = N/(K - 1) with an empty delivery.
 
-    Files split into halves (A_n, B_n).  Cache 1 stores the A halves,
-    cache 2 the B halves, cache 3 the XORs A_n ^ B_n, so every adjacent
-    cache pair spans the whole library and every user decodes every file
-    with rate 0.
+    Files split into K - 1 parts.  Cache i < K stores part i of every file,
+    cache K the XOR of each file's parts, so every window, which misses one
+    cache, spans the whole library and every user decodes every file with
+    rate 0.  At K = 3 the caches are the A / B / A^B halves; the id keeps
+    that (3, 2, 3) name.
     """
 
     id = "corner-323"
-    memory = Fraction(3, 2)
-    subpacketization = 2
-    network = MaccParams(K=3, L=2, N=3)
+
+    def shape(self, params: MaccParams) -> tuple[Fraction, int] | None:
+        return (Fraction(params.N, params.L), params.L) if params.L == params.K - 1 else None
 
     def place(self, library: FileLibrary) -> CacheContents:
-        self.check_library(library)
-        halves = [split_bits(library.file(n), 2) for n in (1, 2, 3)]
-        z1 = b"".join(halves[n][0] for n in range(3))
-        z2 = b"".join(halves[n][1] for n in range(3))
-        z3 = b"".join(xor_bits(halves[n][0], halves[n][1]) for n in range(3))
-        return CacheContents(
-            params=library.params, M=self.memory, F=library.F, caches=(z1, z2, z3)
-        )
+        M = self.check_library(library)
+        parts = [split_bits(f, library.params.L) for f in library.files]
+        caches = [b"".join(p[i] for p in parts) for i in range(library.params.L)]
+        caches.append(b"".join(functools.reduce(xor_bits, p) for p in parts))
+        return CacheContents(params=library.params, M=M, F=library.F, caches=tuple(caches))
+
+    def deliver(self, library: FileLibrary, demand: Demand) -> Transmission:
+        self.check_library(library, demand)
+        return Transmission(b"", library.F)
 
     def decode(
         self, k: int, transmission: Transmission, window: dict[int, bytes], demand: Demand
     ) -> bytes:
-        n = demand[k - 1]
-
-        def part(cache_index: int) -> bytes:
-            f = len(window[cache_index]) // 3
-            return window[cache_index][(n - 1) * f : n * f]
-
-        a = part(1) if 1 in window else xor_bits(part(2), part(3))
-        b = part(2) if 2 in window else xor_bits(part(1), part(3))
-        return a + b
-
-    def deliver(self, library: FileLibrary, demand: Demand) -> Transmission:
-        self.check_library(library, demand)
-        return Transmission.of(b"", library.F)
+        n, K = demand[k - 1], len(window) + 1
+        size = transmission.F // (K - 1)
+        parts = {i: cache[(n - 1) * size : n * size] for i, cache in window.items()}
+        # user k misses cache k - 1; unless that is cache K, its part is the
+        # XOR of the K - 1 parts the window holds
+        missing = cyclic_index(k - 1, K)
+        if missing != K:
+            parts[missing] = functools.reduce(xor_bits, parts.values())
+        return b"".join(parts[i] for i in range(1, K))
 
 
 scheme_appendix_b = CodedPlacementScheme323
 scheme_zero_memory = ZeroMemoryScheme
-scheme_full_access_corner_323 = FullAccessCornerScheme323
+scheme_full_access_corner_323 = ParityScheme
 
 
 #: Every scheme by id (the order of the CLI's --scheme choices).
 SCHEMES: dict[str, type[Scheme]] = {
     scheme.id: scheme
-    for scheme in (CodedPlacementScheme323, FullAccessCornerScheme323, ZeroMemoryScheme)
+    for scheme in (CodedPlacementScheme323, ParityScheme, ZeroMemoryScheme)
 }
 
 
@@ -411,14 +409,15 @@ def verify_scheme(scheme: Scheme, library: FileLibrary) -> VerificationReport:
     worst = Fraction(0)
     for demand in all_demand_vectors(params):
         transmission = scheme.deliver(library, demand)
-        worst = max(worst, transmission.rate)
+        rate = transmission.rate
+        worst = max(worst, rate)
         ok = True
         for k, window in enumerate(windows, start=1):
             decoded = scheme.decode(k, transmission, window, demand)
             if decoded != library.files[demand[k - 1] - 1]:  # demands are in range
                 ok = False
                 failures.append((demand, k))
-        per_demand.append(DemandOutcome(demand=demand, rate=transmission.rate, passed=ok))
+        per_demand.append(DemandOutcome(demand=demand, rate=rate, passed=ok))
     return VerificationReport(
         scheme_id=scheme.id,
         params=params,

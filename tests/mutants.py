@@ -176,7 +176,15 @@ MUTANTS: tuple[tuple[str, str, str], ...] = (
         "xor_bits(sub[0], sub[1]) + xor_bits(sub[0], sub[2])",
     ),
     # schemes: the worst-case rate is the last demand's rate
-    ("schemes.py", "worst = max(worst, transmission.rate)", "worst = transmission.rate"),
+    ("schemes.py", "worst = max(worst, rate)", "worst = rate"),
+    # schemes: a rate counts the payload against 8F bits, not F
+    ("schemes.py", "return Fraction(len(self.payload), self.F)", "return Fraction(len(self.payload), 8 * self.F)"),
+    # schemes: the parity cache leaves out each file's first part
+    ("schemes.py", "functools.reduce(xor_bits, p) for p in parts", "functools.reduce(xor_bits, p[1:]) for p in parts"),
+    # schemes: the parity decoder rebuilds the part after its own, not the one its window misses
+    ("schemes.py", "missing = cyclic_index(k - 1, K)", "missing = cyclic_index(k + 1, K)"),
+    # schemes: the parity scheme claims the networks with L >= K - 1
+    ("schemes.py", "if params.L == params.K - 1 else None", "if params.L >= params.K - 1 else None"),
     # schemes: a library's seed is not checked
     ("schemes.py", "if self.seed is not None:", "if False:"),
     # schemes: a demand of the wrong length is not refused

@@ -29,6 +29,7 @@ from macckit import (
     verify_scheme,
 )
 from macckit.bounds import FAMILIES, FAMILY_IDS, evaluate_bound, improved_term
+from macckit.schemes import ParityScheme
 from macckit.serialize import clamp
 
 P323 = MaccParams(3, 2, 3)
@@ -245,11 +246,16 @@ def test_criterion_9_sees_a_raised_lemma2(monkeypatch):
 
 def achievable_points(K, L, N):
     """(M, R) points achievable on a (K, L, N) network.  The zero-memory
-    point (0, min(N, K)) is simulated by the package's zero-memory scheme.
+    point (0, min(N, K)) is simulated by the package's zero-memory scheme,
+    and on L = K - 1 the point (N/(K - 1), 0) by its parity scheme
+    (tests/test_schemes.py::TestParityScheme).
     On L = 1 the points M = tN/K, R = [C(K, t+1) - C(K - min(N, K), t+1)]
     / C(K, t), t = 0..K, are cited from Maddah-Ali--Niesen 2014 and
     Yu--Maddah-Ali--Avestimehr 2018: formulas, not simulated here."""
     points = [(F(0), F(min(N, K)))]
+    parity = ParityScheme().shape(MaccParams(K, L, N))
+    if parity is not None:
+        points.append((parity[0], F(0)))
     if L == 1:
         points += [
             (F(t * N, K), F(comb(K, t + 1) - comb(K - min(N, K), t + 1), comb(K, t)))
@@ -287,7 +293,7 @@ ACHIEVABILITY_NETWORKS = [
 def test_criterion_10_no_bound_above_an_achievable_point():
     started = time.time()
     assert bounds_above_achievable(ACHIEVABILITY_NETWORKS) == []
-    _announce(10, "no bound above the zero-memory or (L = 1) cited points, 936 networks", started)
+    _announce(10, "no bound above the zero-memory, parity or (L = 1) cited points, 936 networks", started)
 
 
 def test_criterion_10_sees_a_raised_cutset(monkeypatch):
@@ -295,3 +301,18 @@ def test_criterion_10_sees_a_raised_cutset(monkeypatch):
     monkeypatch.setitem(FAMILIES, "cutset_thm1", oracles.shifted(FAMILIES["cutset_thm1"], F(1, 1000)))
     violations = bounds_above_achievable(ACHIEVABILITY_NETWORKS)
     assert {(K, L, N) for K, L, N, *_ in violations} == set(ACHIEVABILITY_NETWORKS)
+
+
+def test_criterion_10_sees_the_lemma3_ceiling_slip(monkeypatch):
+    # lemma3 with ceil(N/s) in place of floor(N/s) stays under the zero-memory
+    # point; it rises above the parity point (N/(K - 1), 0) of L = K - 1 only
+    lemma3 = FAMILIES["hkd2_lemma3"]
+
+    def ceiling(params, s):
+        c = -(-params.N // s)
+        return s * c, s + params.L - 1, c
+
+    monkeypatch.setitem(FAMILIES, "hkd2_lemma3", type(lemma3)(**{**vars(lemma3), "coeffs": ceiling}))
+    violations = bounds_above_achievable(ACHIEVABILITY_NETWORKS)
+    assert violations
+    assert all(L == K - 1 and M == F(N, L) for K, L, N, _, M in violations)

@@ -202,6 +202,17 @@ class TestSimulateCommand:
                        "--points-out", str(out)) == EXIT_OK
         assert out.read_text() == "M,R,scheme_id\n3/2,0,corner-323\n"
 
+    def test_parity_scheme_beyond_323(self, tmp_path, capsys):
+        # corner-323 is the parity scheme of every (K, K - 1, N), refused elsewhere
+        out = tmp_path / "points.csv"
+        argv = ("simulate", "--scheme", "corner-323", "--K", "4", "--N", "4", "--F", "6",
+                "--points-out", str(out))
+        assert run_cli(*argv, "--L", "3") == EXIT_OK
+        assert out.read_text() == "M,R,scheme_id\n4/3,0,corner-323\n"
+        capsys.readouterr()
+        assert run_cli(*argv, "--L", "2") == EXIT_USAGE
+        assert "is not defined for" in capsys.readouterr().err
+
     def test_failure_exit_code(self, monkeypatch):
         # a doctored report exercises the exit-1 path without corrupting state
         import macckit.cli as cli

@@ -22,7 +22,7 @@ from macckit import (
     verify_scheme,
 )
 from macckit.params import InputError, InputTypeError
-from macckit.schemes import split_bits, xor_bits
+from macckit.schemes import ParityScheme, split_bits, xor_bits
 
 P323 = MaccParams(3, 2, 3)
 
@@ -256,6 +256,38 @@ class TestFullAccessCorner323:
         assert all(len(z) == 18 for z in caches.caches)  # (3/2) * 12
 
 
+class TestParityScheme:
+    """corner-323 is the K = 3 case of one parity scheme on every (K, K - 1, N)."""
+
+    @pytest.mark.parametrize("K", [2, 3, 4, 5])
+    def test_every_demand_decodes_at_rate_zero(self, K):
+        for N in range(1, 6):
+            params = MaccParams(K, K - 1, N)
+            assert ParityScheme().shape(params) == (F(N, K - 1), K - 1)
+            for seed in (0, 1):
+                report = verify_scheme(ParityScheme(), FileLibrary.random(params, 2 * (K - 1), seed))
+                assert report.passed, (params, seed)
+                assert report.worst_case_rate == 0
+                assert len(report.per_demand) == N**K
+
+    def test_cache_K_holds_the_xor_of_the_parts(self):
+        params = MaccParams(4, 3, 2)
+        library = FileLibrary.random(params, 6, seed=3)
+        caches = ParityScheme().place(library)
+        assert caches.M == F(2, 3)
+        parts = [split_bits(f, 3) for f in library.files]
+        for i in (1, 2, 3):
+            assert caches.cache(i) == b"".join(p[i - 1] for p in parts)
+        assert caches.cache(4) == b"".join(xor_bits(xor_bits(p[0], p[1]), p[2]) for p in parts)
+
+    @pytest.mark.parametrize("K,L,N", [(4, 2, 4), (3, 3, 3), (1, 1, 2)])
+    def test_refused_off_its_domain(self, K, L, N):
+        params = MaccParams(K, L, N)
+        assert ParityScheme().shape(params) is None
+        with pytest.raises(InputError, match="is not defined for"):
+            verify_scheme(ParityScheme(), FileLibrary.random(params, 6, seed=0))
+
+
 class TestVerifyScheme:
     def test_corrupted_placement_is_reported(self, monkeypatch):
         scheme = scheme_appendix_b()
@@ -264,7 +296,7 @@ class TestVerifyScheme:
         flipped = bytearray(caches.cache(1))
         flipped[0] ^= 1
         corrupted = CacheContents(
-            params=P323, M=scheme.memory, F=12, caches=(bytes(flipped),) + caches.caches[1:]
+            params=P323, M=scheme.shape(P323)[0], F=12, caches=(bytes(flipped),) + caches.caches[1:]
         )
         monkeypatch.setattr(scheme, "place", lambda library: corrupted)
         report = verify_scheme(scheme, library)
@@ -288,7 +320,7 @@ class TestVerifyScheme:
                 window = access_window(k, P323)
                 zeroed = CacheContents(
                     params=P323,
-                    M=scheme.memory,
+                    M=scheme.shape(P323)[0],
                     F=12,
                     caches=tuple(
                         z if i + 1 in window else bytes(len(z))
@@ -353,7 +385,7 @@ class TestLinearity:
     def test_every_library_at_subpacketization(self, factory):
         # F = subpacketization leaves 2**(N*F) libraries: 512, 64 and 8; all decode
         scheme = factory()
-        F_bits = scheme.subpacketization
+        F_bits = scheme.shape(P323)[1]
         libraries = itertools.product((0, 1), repeat=P323.N * F_bits)
         for count, bits in enumerate(libraries, start=1):
             files = tuple(bytes(bits[n * F_bits:(n + 1) * F_bits]) for n in range(P323.N))
@@ -406,7 +438,7 @@ def _spans(rows, targets):
 
 def _cache_rows(scheme, params):
     """Each cache's bits as masks over the library bits, at F = subpacketization."""
-    libraries = list(_unit_libraries(params, scheme.subpacketization))
+    libraries = list(_unit_libraries(params, scheme.shape(params)[1]))
     placed = [scheme.place(library) for library in libraries]
     return [_masks([caches.cache(i) for caches in placed]) for i in range(1, params.K + 1)]
 
@@ -414,7 +446,7 @@ def _cache_rows(scheme, params):
 def _rank_failures(scheme, params, cache_rows):
     """The (demand, user) pairs whose demanded file's F unit rows are not in
     the span of the user's window of cache_rows plus the transmission's rows."""
-    F_bits = scheme.subpacketization
+    F_bits = scheme.shape(params)[1]
     libraries = list(_unit_libraries(params, F_bits))
     failures = []
     for demand in all_demand_vectors(params):
@@ -439,14 +471,20 @@ class TestRankOracle:
         (scheme_full_access_corner_323, P323),
         (scheme_zero_memory, P323),
         (scheme_zero_memory, MaccParams(4, 2, 4)),
+        (ParityScheme, MaccParams(2, 1, 2)),
+        (ParityScheme, MaccParams(4, 3, 4)),
+        (ParityScheme, MaccParams(5, 4, 3)),
     ]
-    IDS = ["appendix-b-323", "corner-323", "zero-memory-323", "zero-memory-424"]
+    IDS = [
+        "appendix-b-323", "corner-323", "zero-memory-323", "zero-memory-424",
+        "parity-212", "parity-434", "parity-543",
+    ]
 
     @pytest.mark.parametrize("factory,params", CASES, ids=IDS)
     def test_zero_library_gives_zero_payloads(self, factory, params):
         # linear, not only affine: so the unit libraries' masks describe every library
         scheme = factory()
-        F_bits = scheme.subpacketization
+        F_bits = scheme.shape(params)[1]
         library = FileLibrary(params, F_bits, (bytes(F_bits),) * params.N)
         assert not any(any(cache) for cache in scheme.place(library).caches)
         for demand in all_demand_vectors(params):
